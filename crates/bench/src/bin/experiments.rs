@@ -1,8 +1,9 @@
 //! Regenerate every table and figure of the paper from fresh simulations.
 //!
 //! ```text
-//! experiments [fig1|fig2|fig3|table1|table2|table3|table4|table5|fanout10|all|faults]
-//!             [--json <path>] [--faults <seed>] [--jobs <n>] [--profile <path>]
+//! experiments [all|fig1|fig2|fig3|table1|table2|table3|table4|table5|fanout10|
+//!              extensions|faults|failover|adaptive|ablations]
+//!             [--json <path>] [--faults <seed>|<a..b>] [--failover <seed>] [--jobs <n>]
 //! ```
 //!
 //! With no argument (or `all`) everything runs; output is the paper's
@@ -18,7 +19,10 @@
 //! The `adaptive` target runs the adaptive-dispatch sweep (seeds 0..32,
 //! both applications, static RPC vs static CM vs `Annotation::Auto`), each
 //! cell audited and self-asserting the acceptance bounds (`adaptive-ok`
-//! lines).
+//! lines). The `ablations` target isolates what each documented modelling
+//! choice contributes (RPC general-stub costs, hardware-support estimates,
+//! the SM contention model, network depth) and self-asserts its bounds
+//! (`ablation-ok` lines); it is not part of `all`.
 //! The fault-free artifacts are byte-identical whether or not these flags
 //! are passed (CI checks this). With `--json <path>` the same runs are also
 //! written to `<path>` as a machine-readable document:
@@ -29,10 +33,7 @@
 //!
 //! `--jobs <n>` bounds the sweep worker pool (default: one worker per
 //! available core); results are byte-identical for any worker count.
-//! `--profile <path>` additionally profiles the event loop itself (both
-//! apps, every Table 1 scheme, run serially after the artifacts) and writes
-//! events/sec, peak queue depth, and allocations-per-event to `<path>`
-//! (conventionally `BENCH_3.json`) — the artifacts JSON is unaffected.
+//! Malformed arguments print the usage and exit with status 2.
 
 use bench::json::{obj, Json};
 use bench::{
@@ -42,9 +43,25 @@ use bench::{
 use migrate_model::{figure1, Pattern};
 use migrate_rt::Scheme;
 
-include!("../alloc_counter.rs");
+const USAGE: &str = "usage: experiments [all|fig1|fig2|fig3|table1|table2|table3|table4|table5|fanout10|extensions|faults|failover|adaptive|ablations] [--json <path>] [--faults <seed>|<a..b>] [--failover <seed>] [--jobs <n>]";
 
-const USAGE: &str = "usage: experiments [all|fig1|fig2|fig3|table1|table2|table3|table4|table5|fanout10|extensions|faults|failover|adaptive] [--json <path>] [--faults <seed>|<a..b>] [--failover <seed>] [--jobs <n>] [--profile <path>]";
+/// Print `message` and the usage to stderr, then exit with status 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// Remove `flag` and the value after it from `args`, returning the value.
+/// A flag with nothing after it is a usage error naming `what` it requires.
+fn take_value(args: &mut Vec<String>, flag: &str, what: &str) -> Option<String> {
+    let i = args.iter().position(|a| a == flag)?;
+    if i + 1 >= args.len() {
+        usage_error(&format!("{flag} requires {what}"));
+    }
+    let value = args.remove(i + 1);
+    args.remove(i);
+    Some(value)
+}
 
 /// The `--faults` argument: one seed, or a half-open `a..b` range of them.
 #[derive(Copy, Clone, Debug)]
@@ -64,83 +81,25 @@ fn parse_seed_spec(s: &str) -> Option<SeedSpec> {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let json_path = match args.iter().position(|a| a == "--json") {
-        Some(i) => {
-            if i + 1 >= args.len() {
-                eprintln!("--json requires a path\n{USAGE}");
-                std::process::exit(2);
-            }
-            let path = args.remove(i + 1);
-            args.remove(i);
-            Some(path)
-        }
-        None => None,
-    };
-    let profile_path = match args.iter().position(|a| a == "--profile") {
-        Some(i) => {
-            if i + 1 >= args.len() {
-                eprintln!("--profile requires a path\n{USAGE}");
-                std::process::exit(2);
-            }
-            let path = args.remove(i + 1);
-            args.remove(i);
-            Some(path)
-        }
-        None => None,
-    };
-    if let Some(i) = args.iter().position(|a| a == "--jobs") {
-        if i + 1 >= args.len() {
-            eprintln!("--jobs requires a worker count\n{USAGE}");
-            std::process::exit(2);
-        }
-        let n = args.remove(i + 1);
-        args.remove(i);
+    let json_path = take_value(&mut args, "--json", "a path");
+    if let Some(n) = take_value(&mut args, "--jobs", "a worker count") {
         match n.parse::<usize>() {
             Ok(n) if n > 0 => bench::pool::set_jobs(n),
-            _ => {
-                eprintln!("--jobs must be a positive integer, got {n:?}\n{USAGE}");
-                std::process::exit(2);
-            }
+            _ => usage_error(&format!("--jobs must be a positive integer, got {n:?}")),
         }
     }
-    let faults_seed = match args.iter().position(|a| a == "--faults") {
-        Some(i) => {
-            if i + 1 >= args.len() {
-                eprintln!("--faults requires a seed or range\n{USAGE}");
-                std::process::exit(2);
-            }
-            let seed = args.remove(i + 1);
-            args.remove(i);
-            match parse_seed_spec(&seed) {
-                Some(spec) => Some(spec),
-                None => {
-                    eprintln!(
-                        "--faults takes an integer seed or an a..b range (a < b), got {seed:?}\n{USAGE}"
-                    );
-                    std::process::exit(2);
-                }
-            }
-        }
-        None => None,
-    };
-    let failover_seed = match args.iter().position(|a| a == "--failover") {
-        Some(i) => {
-            if i + 1 >= args.len() {
-                eprintln!("--failover requires a seed\n{USAGE}");
-                std::process::exit(2);
-            }
-            let seed = args.remove(i + 1);
-            args.remove(i);
-            match seed.parse::<u64>() {
-                Ok(s) => Some(s),
-                Err(_) => {
-                    eprintln!("--failover seed must be an integer, got {seed:?}\n{USAGE}");
-                    std::process::exit(2);
-                }
-            }
-        }
-        None => None,
-    };
+    let faults_seed = take_value(&mut args, "--faults", "a seed or range").map(|seed| {
+        parse_seed_spec(&seed).unwrap_or_else(|| {
+            usage_error(&format!(
+                "--faults takes an integer seed or an a..b range (a < b), got {seed:?}"
+            ))
+        })
+    });
+    let failover_seed = take_value(&mut args, "--failover", "a seed").map(|seed| {
+        seed.parse::<u64>().unwrap_or_else(|_| {
+            usage_error(&format!("--failover seed must be an integer, got {seed:?}"))
+        })
+    });
     let arg = args.first().cloned().unwrap_or_else(|| {
         if failover_seed.is_some() && faults_seed.is_none() {
             "failover".to_string()
@@ -165,10 +124,10 @@ fn main() {
         "faults",
         "failover",
         "adaptive",
+        "ablations",
     ];
     if !known.contains(&arg.as_str()) || args.len() > 1 {
-        eprintln!("unknown arguments {args:?}\n{USAGE}");
-        std::process::exit(2);
+        usage_error(&format!("unknown arguments {args:?}"));
     }
     let all = arg == "all";
     let mut artifacts: Vec<(String, Json)> = Vec::new();
@@ -203,6 +162,9 @@ fn main() {
     if arg == "adaptive" {
         adaptive(&mut emit);
     }
+    if arg == "ablations" {
+        ablations(&mut emit);
+    }
     if let Some(path) = json_path {
         let doc = obj(vec![
             ("schema_version", Json::Int(1)),
@@ -213,19 +175,6 @@ fn main() {
             std::process::exit(1);
         }
         println!("wrote JSON artifacts to {path}");
-    }
-    if let Some(path) = profile_path {
-        // Profiling runs strictly after (and apart from) the artifacts, so
-        // it cannot perturb them; cells run serially for honest wall-clock.
-        println!("== simulator core profile ==");
-        let cells = bench::profile_cells(3, Some(&allocations_now));
-        print!("{}", bench::render_profile(&cells));
-        let doc = bench::profile_to_json(&cells);
-        if let Err(e) = std::fs::write(&path, doc.render() + "\n") {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("wrote profile to {path}");
     }
 }
 
@@ -342,6 +291,81 @@ fn adaptive(emit: Emit) {
             ("cells", bench::adaptive_to_json(&cells)),
         ]),
     );
+}
+
+fn ablations(emit: Emit) {
+    let a = bench::ablations();
+    println!("== Ablation: RPC general-stub costs (B-tree, 0 think; DESIGN.md §6 point 6) ==");
+    println!(
+        "CP reference: {:.3} ops/1000cyc, {:.2} words/10cyc",
+        a.cp_reference.throughput_per_1000, a.cp_reference.bandwidth_words_per_10
+    );
+    println!(
+        "{:<12} {:<12} {:>12} {:>14} {:>10}",
+        "dispatch", "stub words", "ops/1000cyc", "words/10cyc", "CP/RPC"
+    );
+    for r in &a.rpc_costs {
+        println!(
+            "{:<12} {:<12} {:>12.3} {:>14.2} {:>10.2}",
+            r.dispatch,
+            r.stub_words,
+            r.metrics.throughput_per_1000,
+            r.metrics.bandwidth_words_per_10,
+            a.cp_over_rpc(r)
+        );
+    }
+    println!();
+    println!("== Ablation: hardware-support estimates in isolation (CP) ==");
+    for row in &a.hardware {
+        println!(
+            "{:<16} {:>10.3} ops/1000cyc",
+            row.label, row.metrics.throughput_per_1000
+        );
+    }
+    println!();
+    println!("== Ablation: SM contention model (counting network, 48 procs, 0 think; DESIGN.md §6 point 7) ==");
+    let cm_hw = a.cm_hw_reference.throughput_per_1000;
+    println!("CM w/HW reference: {cm_hw:.3} req/1000cyc");
+    println!(
+        "{:<34} {:>12} {:>14} {:>14}",
+        "SM variant", "req/1000cyc", "words/10cyc", "beats CM w/HW?"
+    );
+    for row in &a.contention {
+        println!(
+            "{:<34} {:>12.3} {:>14.2} {:>14}",
+            row.label,
+            row.metrics.throughput_per_1000,
+            row.metrics.bandwidth_words_per_10,
+            if row.metrics.throughput_per_1000 > cm_hw {
+                "yes"
+            } else {
+                "no"
+            }
+        );
+    }
+    println!();
+    println!("== Ablation: bitonic (paper) vs periodic (extension) network, 32 requesters ==");
+    println!(
+        "{:<10} {:<22} {:>8} {:>12} {:>14} {:>14}",
+        "topology", "scheme", "stages", "req/1000cyc", "words/10cyc", "op latency"
+    );
+    for r in &a.topology {
+        println!(
+            "{:<10} {:<22} {:>8} {:>12.3} {:>14.2} {:>14.0}",
+            format!("{:?}", r.topology),
+            r.scheme,
+            r.depth,
+            r.metrics.throughput_per_1000,
+            r.metrics.bandwidth_words_per_10,
+            r.metrics.mean_op_latency
+        );
+    }
+    println!();
+    for line in bench::ablation_validity(&a) {
+        println!("{line}");
+    }
+    println!();
+    emit("ablations", bench::ablations_to_json(&a));
 }
 
 fn extensions(emit: Emit) {

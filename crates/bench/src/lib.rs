@@ -1,17 +1,18 @@
 //! # bench — experiment harness for every table and figure
 //!
-//! Shared runners behind both the `experiments` binary (which prints the
-//! paper's tables/figures from fresh simulations) and the Criterion benches.
-//! Each function corresponds to one artifact of the paper's evaluation;
-//! DESIGN.md §4 maps them.
+//! Shared runners behind the `experiments` binary, which prints the paper's
+//! tables/figures from fresh simulations. Each function corresponds to one
+//! artifact of the paper's evaluation; DESIGN.md §4 maps them.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 use migrate_apps::btree::BTreeExperiment;
-use migrate_apps::counting::CountingExperiment;
-use migrate_rt::{categories as cat, Annotation, EngineProfile, RunMetrics, Scheme};
-use proteus::Cycles;
+use migrate_apps::counting::{CountingExperiment, Topology};
+use migrate_rt::{
+    categories as cat, Annotation, CostModel, FailoverStats, RunMetrics, Runner, Scheme,
+};
+use proteus::{CoherenceCosts, Cycles, ProcId};
 
 pub mod json;
 pub mod pool;
@@ -252,6 +253,24 @@ pub fn failover_schemes() -> Vec<(&'static str, Scheme)> {
 /// promotion, and a full post-failover drain of every capped driver.
 pub const FAILOVER_HORIZON: Cycles = Cycles(8_000_000);
 
+/// The validity both failover cells share: the cycle audit closes and the
+/// victim was declared dead by exactly one suspicion and one promotion.
+/// Returns the failover stats for the application-specific checks.
+fn check_failover(runner: &Runner, seed: u64, victim: ProcId) -> FailoverStats {
+    runner
+        .system
+        .audit()
+        .unwrap_or_else(|e| panic!("seed {seed}: audit failed under failover: {e}"));
+    assert!(
+        runner.system.is_declared_dead(victim),
+        "seed {seed}: victim {victim:?} never declared dead"
+    );
+    let f = runner.system.failover_stats().clone();
+    assert_eq!(f.suspicions, 1, "seed {seed}: suspicions {f:?}");
+    assert_eq!(f.promotions, 1, "seed {seed}: promotions {f:?}");
+    f
+}
+
 /// One failover counting cell: capped drivers, one balancer processor
 /// permanently killed mid-run, failure detection + replication on.
 ///
@@ -265,7 +284,7 @@ pub fn failover_cell_counting(seed: u64, scheme: Scheme) -> RunMetrics {
     // Victims rotate over the 24 balancer processors: they host network
     // objects but no driver threads (except transiently under thread
     // migration), so the kill exercises re-homing rather than plain loss.
-    let victim = proteus::ProcId((seed % 24) as u32);
+    let victim = ProcId((seed % 24) as u32);
     let at = Cycles(25_000 + 2_500 * (seed % 8));
     let exp = CountingExperiment {
         requests_per_thread: Some(per_thread),
@@ -280,17 +299,7 @@ pub fn failover_cell_counting(seed: u64, scheme: Scheme) -> RunMetrics {
     };
     let (mut runner, spec) = exp.build();
     runner.run_until(FAILOVER_HORIZON);
-    runner
-        .system
-        .audit()
-        .unwrap_or_else(|e| panic!("seed {seed}: audit failed under failover: {e}"));
-    assert!(
-        runner.system.is_declared_dead(victim),
-        "seed {seed}: victim {victim:?} never declared dead"
-    );
-    let f = runner.system.failover_stats().clone();
-    assert_eq!(f.suspicions, 1, "seed {seed}: suspicions {f:?}");
-    assert_eq!(f.promotions, 1, "seed {seed}: promotions {f:?}");
+    let f = check_failover(&runner, seed, victim);
     let total: u64 = spec
         .counters_in_output_order()
         .iter()
@@ -330,7 +339,7 @@ pub fn failover_cell_btree(seed: u64, scheme: Scheme) -> RunMetrics {
     let requesters = 4u32;
     let per_thread = 5u64;
     let data_procs = 8u32;
-    let victim = proteus::ProcId((seed % u64::from(data_procs)) as u32);
+    let victim = ProcId((seed % u64::from(data_procs)) as u32);
     let at = Cycles(30_000 + 3_000 * (seed % 8));
     let exp = BTreeExperiment {
         initial_keys: initial,
@@ -350,17 +359,7 @@ pub fn failover_cell_btree(seed: u64, scheme: Scheme) -> RunMetrics {
     };
     let (mut runner, root) = exp.build();
     runner.run_until(FAILOVER_HORIZON);
-    runner
-        .system
-        .audit()
-        .unwrap_or_else(|e| panic!("seed {seed}: audit failed under failover: {e}"));
-    assert!(
-        runner.system.is_declared_dead(victim),
-        "seed {seed}: victim {victim:?} never declared dead"
-    );
-    let f = runner.system.failover_stats().clone();
-    assert_eq!(f.suspicions, 1, "seed {seed}: suspicions {f:?}");
-    assert_eq!(f.promotions, 1, "seed {seed}: promotions {f:?}");
+    check_failover(&runner, seed, victim);
     let stats = migrate_apps::btree::verify_tree(&runner.system, root)
         .unwrap_or_else(|e| panic!("seed {seed}: tree corrupt after failover: {e}"));
     assert!(
@@ -627,204 +626,336 @@ pub fn adaptive_to_json(cells: &[AdaptiveCell]) -> Json {
 }
 
 // ----------------------------------------------------------------------
-// Self-measurement: the `--profile` mode / `perf` harness
+// Ablations: what each modelling choice of DESIGN.md §6–§7 contributes
 // ----------------------------------------------------------------------
 
-/// One profiled cell: how fast the simulator core ran one app×scheme
-/// experiment, independent of what the simulation computed.
+/// Warm-up shared by every ablation cell.
+const ABLATION_WARMUP: Cycles = Cycles(100_000);
+/// Measurement window shared by every ablation cell.
+const ABLATION_WINDOW: Cycles = Cycles(300_000);
+
+/// The RPC general-stub settings the cost ablation sweeps, as
+/// (`CostModel::rpc_dispatch` cycles, `CostModel::rpc_stub_words`). 600/16
+/// is the calibrated default (DESIGN.md §6 point 6).
+pub const RPC_COST_SWEEP: [(u64, u64); 6] =
+    [(0, 0), (0, 16), (300, 16), (600, 0), (600, 16), (1200, 16)];
+
+/// One RPC-cost ablation row: RPC on the paper B-tree under one setting.
 #[derive(Clone, Debug)]
-pub struct ProfiledCell {
-    /// Application ("counting" or "btree").
-    pub app: &'static str,
+pub struct RpcCostRow {
+    /// Server-side general-stub dispatch cycles.
+    pub dispatch: u64,
+    /// Words in the generic argument record.
+    pub stub_words: u64,
+    /// The measured metrics.
+    pub metrics: RunMetrics,
+}
+
+/// One topology ablation row: one scheme on one counting-network
+/// construction.
+#[derive(Clone, Debug)]
+pub struct TopologyRow {
+    /// Network construction.
+    pub topology: Topology,
     /// Scheme label as printed in the paper.
     pub scheme: String,
-    /// Events the engine dispatched (warm-up + window).
-    pub events: u64,
-    /// Peak pending-event count.
-    pub peak_queue_depth: usize,
-    /// Operations the simulation completed in its window.
-    pub ops: u64,
-    /// Best wall-clock seconds over the measured repetitions.
-    pub wall_seconds: f64,
-    /// Heap allocations per dispatched event, when the harness binary
-    /// installed a counting allocator (see `bin/perf.rs`).
-    pub allocations_per_event: Option<f64>,
+    /// Balancer stages a token crosses.
+    pub depth: usize,
+    /// The measured metrics.
+    pub metrics: RunMetrics,
 }
 
-impl ProfiledCell {
-    /// Events dispatched per wall-clock second.
-    pub fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.wall_seconds
+/// The `ablations` target: each documented modelling choice switched off
+/// or swept on its own, everything else at its default.
+#[derive(Clone, Debug)]
+pub struct Ablations {
+    /// Plain CP on the paper B-tree at 0 think: the RPC-cost reference.
+    pub cp_reference: RunMetrics,
+    /// RPC on the same B-tree, one row per [`RPC_COST_SWEEP`] setting.
+    pub rpc_costs: Vec<RpcCostRow>,
+    /// CP on the same B-tree under each hardware-support estimate: software,
+    /// +register NIC, +HW GOID, +both.
+    pub hardware: Vec<Row>,
+    /// CM w/HW on the 48-requester counting network at 0 think: the
+    /// contention reference.
+    pub cm_hw_reference: RunMetrics,
+    /// SM on the same network: the full contention model, then without the
+    /// contended-lock penalty, without spin reads, and without all extras.
+    pub contention: Vec<Row>,
+    /// CP and SM on the 32-requester bitonic and periodic networks.
+    pub topology: Vec<TopologyRow>,
+}
+
+impl Ablations {
+    /// CP throughput over RPC throughput for one RPC-cost row.
+    pub fn cp_over_rpc(&self, row: &RpcCostRow) -> f64 {
+        self.cp_reference.throughput_per_1000 / row.metrics.throughput_per_1000
     }
 }
 
-/// Wall-clock seconds per cell measured on the pre-PR core (commit
-/// `06fe8a7`, best of three runs on the development machine), for the same
-/// cells [`profile_cells`] runs. The simulation is byte-identical across
-/// that boundary, so the events-per-second ratio equals the wall-clock
-/// ratio; BENCH_3.json records the speedup column from this table.
-pub const PRE_PR_WALL_SECONDS: &[(&str, &str, f64)] = &[
-    ("btree", "CP", 0.011316),
-    ("btree", "CP w/HW", 0.019288),
-    ("btree", "CP w/repl.", 0.012977),
-    ("btree", "CP w/repl. & HW", 0.011520),
-    ("btree", "RPC", 0.005127),
-    ("btree", "RPC w/HW", 0.009375),
-    ("btree", "RPC w/repl.", 0.008736),
-    ("btree", "RPC w/repl. & HW", 0.007905),
-    ("btree", "SM", 0.061960),
-    ("counting", "CP", 0.023134),
-    ("counting", "CP w/HW", 0.035782),
-    ("counting", "CP w/repl.", 0.024459),
-    ("counting", "CP w/repl. & HW", 0.038759),
-    ("counting", "RPC", 0.011510),
-    ("counting", "RPC w/HW", 0.014574),
-    ("counting", "RPC w/repl.", 0.008937),
-    ("counting", "RPC w/repl. & HW", 0.016075),
-    ("counting", "SM", 0.027758),
-];
-
-/// The recorded pre-PR wall seconds for one cell, if measured.
-pub fn pre_pr_wall_seconds(app: &str, scheme: &str) -> Option<f64> {
-    PRE_PR_WALL_SECONDS
-        .iter()
-        .find(|&&(a, s, _)| a == app && s == scheme)
-        .map(|&(_, _, secs)| secs)
-}
-
-/// Profile the event loop on both applications under every Table 1 scheme
-/// (the paper's full scheme set). Cells run serially — wall-clock numbers
-/// must not be polluted by sibling cells — with `reps` repetitions each,
-/// keeping the fastest. `alloc_count` reads a process-wide allocation
-/// counter when the harness binary installs one.
-pub fn profile_cells(reps: u32, alloc_count: Option<&dyn Fn() -> u64>) -> Vec<ProfiledCell> {
-    let reps = reps.max(1);
-    let schemes = Scheme::table1_rows();
-    let mut cells = Vec::new();
-    let mut run =
-        |app: &'static str, scheme: Scheme, f: &dyn Fn() -> (RunMetrics, EngineProfile)| {
-            let mut best: Option<ProfiledCell> = None;
-            for _ in 0..reps {
-                let allocs_before = alloc_count.map(|c| c());
-                let start = std::time::Instant::now();
-                let (metrics, profile) = f();
-                let wall_seconds = start.elapsed().as_secs_f64();
-                let allocations_per_event = alloc_count
-                    .zip(allocs_before)
-                    .map(|(c, before)| (c() - before) as f64 / profile.events.max(1) as f64);
-                if best.as_ref().is_none_or(|b| wall_seconds < b.wall_seconds) {
-                    best = Some(ProfiledCell {
-                        app,
-                        scheme: scheme.label(),
-                        events: profile.events,
-                        peak_queue_depth: profile.peak_queue_depth,
-                        ops: metrics.ops,
-                        wall_seconds,
-                        allocations_per_event,
-                    });
-                }
-            }
-            cells.push(best.expect("at least one repetition"));
-        };
-    for &scheme in &schemes {
-        run("counting", scheme, &|| {
-            CountingExperiment::paper(16, 0, scheme).run_profiled(COUNTING_WARMUP, COUNTING_WINDOW)
-        });
-    }
-    for &scheme in &schemes {
-        run("btree", scheme, &|| {
-            BTreeExperiment::paper(0, scheme).run_profiled(BTREE_WARMUP, BTREE_WINDOW)
-        });
-    }
-    cells
-}
-
-/// Serialize profiled cells to the BENCH_3.json document: per-cell events
-/// per second plus the speedup over the recorded pre-PR baseline.
-pub fn profile_to_json(cells: &[ProfiledCell]) -> Json {
-    let mut speedups: Vec<f64> = Vec::new();
-    let rows = Json::Arr(
-        cells
-            .iter()
-            .map(|c| {
-                let mut fields = vec![
-                    ("app", Json::Str(c.app.to_string())),
-                    ("scheme", Json::Str(c.scheme.clone())),
-                    ("events", Json::Int(c.events)),
-                    ("events_per_sec", Json::Num(c.events_per_sec())),
-                    ("wall_seconds", Json::Num(c.wall_seconds)),
-                    ("peak_queue_depth", Json::Int(c.peak_queue_depth as u64)),
-                    ("ops", Json::Int(c.ops)),
-                ];
-                if let Some(ape) = c.allocations_per_event {
-                    fields.push(("allocations_per_event", Json::Num(ape)));
-                }
-                if let Some(base) = pre_pr_wall_seconds(c.app, &c.scheme) {
-                    let speedup = base / c.wall_seconds;
-                    speedups.push(speedup);
-                    fields.push(("pre_pr_wall_seconds", Json::Num(base)));
-                    fields.push(("speedup_vs_pre_pr", Json::Num(speedup)));
-                }
-                obj(fields)
-            })
-            .collect(),
-    );
-    let total_events: u64 = cells.iter().map(|c| c.events).sum();
-    let total_wall: f64 = cells.iter().map(|c| c.wall_seconds).sum();
-    let mut summary = vec![
-        ("cells", Json::Int(cells.len() as u64)),
-        ("total_events", Json::Int(total_events)),
+/// Run every ablation, each section's cells on the worker pool.
+/// Deterministic: identical rows (and JSON) on every run.
+pub fn ablations() -> Ablations {
+    let btree = |scheme, cost_override| {
+        BTreeExperiment {
+            cost_override,
+            ..BTreeExperiment::paper(0, scheme)
+        }
+        .run(ABLATION_WARMUP, ABLATION_WINDOW)
+    };
+    let counting = |requesters, scheme, topology, coherence_override| {
+        let (mut runner, spec) = CountingExperiment {
+            topology,
+            coherence_override,
+            ..CountingExperiment::paper(requesters, 0, scheme)
+        }
+        .build();
         (
-            "aggregate_events_per_sec",
-            Json::Num(total_events as f64 / total_wall),
+            runner.run(ABLATION_WARMUP, ABLATION_WINDOW),
+            spec.wiring.depth(),
+        )
+    };
+    let cp = Scheme::computation_migration();
+    let cost = CostModel::default;
+    let hardware = [
+        ("software", cost()),
+        ("+register NIC", cost().with_hw_message_support()),
+        ("+HW GOID", cost().with_hw_goid_support()),
+        (
+            "+both",
+            cost().with_hw_message_support().with_hw_goid_support(),
         ),
     ];
-    if !speedups.is_empty() {
-        let min = speedups.iter().cloned().fold(f64::INFINITY, f64::min);
-        let geomean = (speedups.iter().map(|s| s.ln()).sum::<f64>() / speedups.len() as f64).exp();
-        summary.push(("min_speedup_vs_pre_pr", Json::Num(min)));
-        summary.push(("geomean_speedup_vs_pre_pr", Json::Num(geomean)));
-    }
-    obj(vec![
-        ("schema_version", Json::Int(1)),
+    let coh = CoherenceCosts::default;
+    let contention = [
+        ("full model", coh()),
         (
-            "workload",
-            Json::Str(
-                "counting(16 requesters) + btree(fanout 100), all Table 1 schemes, think 0"
-                    .to_string(),
-            ),
+            "- contended-lock penalty",
+            CoherenceCosts {
+                contended_lock_penalty: Cycles::ZERO,
+                ..coh()
+            },
         ),
-        ("cells", rows),
-        ("summary", obj(summary)),
-    ])
+        (
+            "- spin reads",
+            CoherenceCosts {
+                max_spin_reads: 0,
+                ..coh()
+            },
+        ),
+        (
+            "- all contention extras",
+            CoherenceCosts {
+                contended_lock_penalty: Cycles::ZERO,
+                max_spin_reads: 0,
+                limitless_trap: Cycles::ZERO,
+                limitless_per_sharer: Cycles::ZERO,
+                ..coh()
+            },
+        ),
+    ];
+    let topologies = [
+        (Topology::Bitonic, cp),
+        (Topology::Bitonic, Scheme::shared_memory()),
+        (Topology::Periodic, cp),
+        (Topology::Periodic, Scheme::shared_memory()),
+    ];
+    Ablations {
+        cp_reference: btree(cp, None),
+        rpc_costs: pool::map_indexed(&RPC_COST_SWEEP, |&(dispatch, stub_words)| {
+            let stubs = CostModel {
+                rpc_dispatch: Cycles(dispatch),
+                rpc_stub_words: stub_words,
+                ..cost()
+            };
+            RpcCostRow {
+                dispatch,
+                stub_words,
+                metrics: btree(Scheme::rpc(), Some(stubs)),
+            }
+        }),
+        hardware: pool::map_indexed(&hardware, |(label, cost)| Row {
+            label: label.to_string(),
+            metrics: btree(cp, Some(cost.clone())),
+        }),
+        cm_hw_reference: counting(48, cp.with_hardware(), Topology::Bitonic, None).0,
+        contention: pool::map_indexed(&contention, |(label, coherence)| Row {
+            label: label.to_string(),
+            metrics: counting(
+                48,
+                Scheme::shared_memory(),
+                Topology::Bitonic,
+                Some(coherence.clone()),
+            )
+            .0,
+        }),
+        topology: pool::map_indexed(&topologies, |&(topology, scheme)| {
+            let (metrics, depth) = counting(32, scheme, topology, None);
+            TopologyRow {
+                topology,
+                scheme: scheme.label(),
+                depth,
+                metrics,
+            }
+        }),
+    }
 }
 
-/// Render profiled cells as an aligned text table.
-pub fn render_profile(cells: &[ProfiledCell]) -> String {
-    let mut out = format!(
-        "{:<10} {:<18} {:>10} {:>14} {:>10} {:>12} {:>10}\n",
-        "app", "scheme", "events", "events/sec", "peak q", "allocs/ev", "speedup"
+/// Check the ablations' bounds and render one self-asserting `ablation-ok`
+/// line per bound (CI greps for the marker).
+///
+/// Panics unless: RPC beats CP without the general-stub costs (CP/RPC < 1)
+/// and CP/RPC reaches 1.8 at the calibrated 600/16, rising strictly with
+/// dispatch at 16 words; each hardware estimate raises CP throughput and
+/// both together beat either alone; full-model SM stays below CM w/HW while
+/// SM without the contended-lock penalty beats it; and the periodic network
+/// is 9 stages deep against bitonic's 6, costs CP at least 20% of its
+/// throughput, and leaves SM within 2%.
+pub fn ablation_validity(a: &Ablations) -> Vec<String> {
+    let mut lines = Vec::new();
+    let mut check = |holds: bool, what: String| {
+        assert!(holds, "ablation bound violated: {what}");
+        lines.push(format!("ablation-ok {what}"));
+    };
+    let ratio = |dispatch, stub_words| {
+        a.rpc_costs
+            .iter()
+            .find(|r| (r.dispatch, r.stub_words) == (dispatch, stub_words))
+            .map(|r| a.cp_over_rpc(r))
+            .expect("setting is in RPC_COST_SWEEP")
+    };
+    let (bare, calibrated) = (ratio(0, 0), ratio(600, 16));
+    check(
+        bare < 1.0,
+        format!("rpc-costs: CP/RPC {bare:.2} < 1.0 at dispatch 0 / 0 stub words"),
     );
-    for c in cells {
-        let ape = c
-            .allocations_per_event
-            .map(|a| format!("{a:.2}"))
-            .unwrap_or_else(|| "-".to_string());
-        let speedup = pre_pr_wall_seconds(c.app, &c.scheme)
-            .map(|b| format!("{:.2}x", b / c.wall_seconds))
-            .unwrap_or_else(|| "-".to_string());
-        out.push_str(&format!(
-            "{:<10} {:<18} {:>10} {:>14.0} {:>10} {:>12} {:>10}\n",
-            c.app,
-            c.scheme,
-            c.events,
-            c.events_per_sec(),
-            c.peak_queue_depth,
-            ape,
-            speedup,
-        ));
-    }
-    out
+    check(
+        calibrated >= 1.8,
+        format!("rpc-costs: CP/RPC {calibrated:.2} >= 1.8 at the calibrated 600/16"),
+    );
+    let rising: Vec<f64> = a
+        .rpc_costs
+        .iter()
+        .filter(|r| r.stub_words == 16)
+        .map(|r| a.cp_over_rpc(r))
+        .collect();
+    let rising_text: Vec<String> = rising.iter().map(|r| format!("{r:.2}")).collect();
+    check(
+        rising.windows(2).all(|w| w[0] < w[1]),
+        format!(
+            "rpc-costs: CP/RPC rises with dispatch at 16 words ({})",
+            rising_text.join(" < ")
+        ),
+    );
+
+    let hw = |i: usize| a.hardware[i].metrics.throughput_per_1000;
+    let (software, nic, goid, both) = (hw(0), hw(1), hw(2), hw(3));
+    check(
+        nic > software && goid > software && both > nic && both > goid,
+        format!(
+            "hardware: +register NIC {nic:.3} and +HW GOID {goid:.3} each beat \
+             software {software:.3}; +both {both:.3} beats either"
+        ),
+    );
+
+    let cm_hw = a.cm_hw_reference.throughput_per_1000;
+    let full = a.contention[0].metrics.throughput_per_1000;
+    let no_penalty = a.contention[1].metrics.throughput_per_1000;
+    check(
+        full < cm_hw && no_penalty > cm_hw,
+        format!(
+            "contention: full-model SM {full:.3} < CM w/HW {cm_hw:.3} < SM without \
+             the contended-lock penalty {no_penalty:.3} ({:.2}x)",
+            no_penalty / cm_hw
+        ),
+    );
+
+    let topo = |topology, scheme: &str| {
+        a.topology
+            .iter()
+            .find(|r| r.topology == topology && r.scheme == scheme)
+            .expect("topology row")
+    };
+    let (bitonic, periodic) = (
+        topo(Topology::Bitonic, "CP"),
+        topo(Topology::Periodic, "CP"),
+    );
+    check(
+        (bitonic.depth, periodic.depth) == (6, 9),
+        format!(
+            "topology: periodic depth {} vs bitonic {}",
+            periodic.depth, bitonic.depth
+        ),
+    );
+    let (cp_b, cp_p) = (
+        bitonic.metrics.throughput_per_1000,
+        periodic.metrics.throughput_per_1000,
+    );
+    check(
+        cp_p <= 0.8 * cp_b,
+        format!(
+            "topology: periodic CP {cp_p:.3} <= 0.8x bitonic CP {cp_b:.3} ({:.1}% lower)",
+            100.0 * (1.0 - cp_p / cp_b)
+        ),
+    );
+    let sm_b = topo(Topology::Bitonic, "SM").metrics.throughput_per_1000;
+    let sm_p = topo(Topology::Periodic, "SM").metrics.throughput_per_1000;
+    check(
+        (sm_p - sm_b).abs() <= 0.02 * sm_b,
+        format!("topology: periodic SM {sm_p:.3} within 2% of bitonic SM {sm_b:.3}"),
+    );
+    lines
+}
+
+/// Serialize the ablations to JSON: each row's varied setting next to its
+/// full [`metrics_to_json`] record.
+pub fn ablations_to_json(a: &Ablations) -> Json {
+    let row = |mut fields: Vec<(&str, Json)>, m: &RunMetrics| {
+        fields.push(("metrics", metrics_to_json(m)));
+        obj(fields)
+    };
+    let variants = |rows: &[Row]| {
+        let rows = rows.iter();
+        Json::Arr(
+            rows.map(|r| row(vec![("variant", Json::Str(r.label.clone()))], &r.metrics))
+                .collect(),
+        )
+    };
+    let reference =
+        |name, m: &RunMetrics, rows| obj(vec![(name, metrics_to_json(m)), ("rows", rows)]);
+    let rpc_costs = a.rpc_costs.iter().map(|r| {
+        let fields = vec![
+            ("rpc_dispatch", Json::Int(r.dispatch)),
+            ("rpc_stub_words", Json::Int(r.stub_words)),
+            ("cp_over_rpc", Json::Num(a.cp_over_rpc(r))),
+        ];
+        row(fields, &r.metrics)
+    });
+    let topology = a.topology.iter().map(|r| {
+        let fields = vec![
+            ("topology", Json::Str(format!("{:?}", r.topology))),
+            ("scheme", Json::Str(r.scheme.clone())),
+            ("depth", Json::Int(r.depth as u64)),
+        ];
+        row(fields, &r.metrics)
+    });
+    let rpc_costs = Json::Arr(rpc_costs.collect());
+    obj(vec![
+        (
+            "rpc_costs",
+            reference("cp_reference", &a.cp_reference, rpc_costs),
+        ),
+        ("hardware", variants(&a.hardware)),
+        (
+            "contention",
+            reference(
+                "cm_hw_reference",
+                &a.cm_hw_reference,
+                variants(&a.contention),
+            ),
+        ),
+        ("topology", Json::Arr(topology.collect())),
+    ])
 }
 
 /// One Table 5 line: category name and mean cycles per migration.
@@ -1134,6 +1265,26 @@ mod tests {
         let m = counting_cell(8, 0, Scheme::computation_migration());
         assert!(m.policy.is_none());
         assert!(!metrics_to_json(&m).render().contains("\"policy\""));
+    }
+
+    #[test]
+    fn ablations_hold_their_bounds_and_serialize_stably() {
+        let a = ablations();
+        let lines = ablation_validity(&a);
+        assert_eq!(lines.len(), 8);
+        assert!(lines.iter().all(|l| l.starts_with("ablation-ok")));
+        assert_eq!(
+            (
+                a.rpc_costs.len(),
+                a.hardware.len(),
+                a.contention.len(),
+                a.topology.len()
+            ),
+            (6, 4, 4, 4)
+        );
+        let json = ablations_to_json(&a).render();
+        assert_eq!(json, ablations_to_json(&a).render());
+        assert!(json.contains("\"cp_over_rpc\""));
     }
 
     #[test]
