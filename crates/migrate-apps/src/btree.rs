@@ -662,16 +662,6 @@ impl BTreeExperiment {
         let (mut runner, _root) = self.build();
         runner.run(warmup, window)
     }
-
-    /// [`BTreeExperiment::run`], also reporting the event-loop profile.
-    pub fn run_profiled(
-        &self,
-        warmup: Cycles,
-        window: Cycles,
-    ) -> (RunMetrics, migrate_rt::EngineProfile) {
-        let (mut runner, _root) = self.build();
-        runner.run_profiled(warmup, window)
-    }
 }
 
 /// Bulk-load a B-link tree from sorted distinct keys, filling nodes to

@@ -680,16 +680,6 @@ impl CountingExperiment {
         let (mut runner, _spec) = self.build();
         runner.run(warmup, window)
     }
-
-    /// [`CountingExperiment::run`], also reporting the event-loop profile.
-    pub fn run_profiled(
-        &self,
-        warmup: Cycles,
-        window: Cycles,
-    ) -> (RunMetrics, migrate_rt::EngineProfile) {
-        let (mut runner, _spec) = self.build();
-        runner.run_profiled(warmup, window)
-    }
 }
 
 #[cfg(test)]

@@ -81,6 +81,7 @@ pub mod object;
 pub mod policy;
 pub mod rng;
 pub mod system;
+pub mod transport;
 pub mod types;
 
 pub use cost::{categories, category_ids, CategoryId, CategoryTable, CostModel, DenseAccounting};
@@ -92,6 +93,7 @@ pub use object::{Behavior, MethodEnv, ObjectEntry, ObjectTable};
 pub use policy::{PolicyConfig, PolicyDecision, PolicyEngine, PolicyStats};
 pub use system::{
     AuditSummary, EngineProfile, Event, FailoverConfig, FailoverStats, MachineConfig,
-    ProcWindowStats, RecoveryConfig, RecoveryStats, RunMetrics, Runner, System,
+    ProcWindowStats, RunMetrics, Runner, System,
 };
+pub use transport::{RecoveryConfig, RecoveryStats};
 pub use types::{Goid, MethodId, ThreadId, Word, WordVec};

@@ -10,14 +10,16 @@
 //!   cache-coherence oracle under shared memory;
 //! * every cycle charged is attributed to a Table 5 accounting category, and
 //!   migration-specific charges are additionally folded into a separate
-//!   accounting that regenerates Table 5 itself.
+//!   accounting that regenerates Table 5 itself;
+//! * under fault injection, remote messages ride the recovery transport
+//!   ([`crate::transport`]).
 
 use std::collections::{BTreeMap, HashMap};
 
 use proteus::coherence::Access;
 use proteus::engine::{Engine, Simulation};
 use proteus::event::EventQueue;
-use proteus::fault::{FaultInjector, FaultPlan, FaultStats};
+use proteus::fault::{FaultPlan, FaultStats};
 use proteus::stats::{CycleAccounting, Histogram};
 use proteus::trace::{TraceEvent, Tracer};
 use proteus::{
@@ -33,6 +35,9 @@ use crate::message::{Message, MessageKind, Payload};
 use crate::object::{Behavior, MethodEnv, ObjectTable};
 use crate::policy::{PolicyConfig, PolicyEngine, PolicyStats};
 use crate::rng::SplitMix64;
+use crate::transport::{
+    Arrival, Envelope, InFlight, RecoveryConfig, RecoveryStats, Transport, Wire,
+};
 use crate::types::{Goid, ThreadId, Word, WordVec};
 
 /// Full machine + scheme configuration for one experiment run.
@@ -160,54 +165,6 @@ pub struct FailoverStats {
     pub replication_words: u64,
 }
 
-/// Tuning of the ack/timeout/retry recovery protocol (only active under
-/// fault injection).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RecoveryConfig {
-    /// Retransmission timeout for the first copy of an envelope. Chosen well
-    /// above one round-trip *plus service queueing*: the ack is sent when the
-    /// delivered task executes, not when the envelope lands, so tight
-    /// timeouts cause spurious (correct but wasteful) retransmissions.
-    pub base_timeout: Cycles,
-    /// Cap on the exponentially backed-off retransmission timeout.
-    pub backoff_cap: Cycles,
-    /// Send attempts a Migration envelope gets before the sender gives up
-    /// and degrades the call to plain RPC ([`DispatchKind::RpcFallback`]).
-    /// Non-migration envelopes retry indefinitely (with capped backoff) —
-    /// they are the fallback path, so they must eventually go through.
-    pub max_migration_attempts: u32,
-}
-
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        RecoveryConfig {
-            base_timeout: Cycles(25_000),
-            backoff_cap: Cycles(200_000),
-            max_migration_attempts: 4,
-        }
-    }
-}
-
-/// Counters of recovery-protocol activity in a window (only collected under
-/// fault injection).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RecoveryStats {
-    /// Delivery acknowledgements sent.
-    pub acks_sent: u64,
-    /// Envelope retransmissions after a timeout.
-    pub retries: u64,
-    /// Duplicate deliveries suppressed at a receiver.
-    pub duplicates_suppressed: u64,
-    /// Migrations that exhausted retries and fell back to RPC.
-    pub fallbacks: u64,
-    /// Activation frames reclaimed because their thread had terminated by
-    /// the time its migration gave up.
-    pub frames_reclaimed: u64,
-    /// Messages that never arrived (dropped by the plan, or lost to a
-    /// crashed receiver).
-    pub messages_lost: u64,
-}
-
 impl MachineConfig {
     /// A machine of `processors` nodes running `scheme`, with paper-default
     /// constants everywhere else.
@@ -243,20 +200,7 @@ pub enum Event {
     /// A sequence-numbered envelope copy arrives (recovery protocol; the
     /// payload stays buffered at the sender until acknowledged, so only the
     /// metadata needed to charge the receive path travels in the event).
-    ArriveSeq {
-        /// Receiving processor.
-        dst: ProcId,
-        /// Sending processor.
-        src: ProcId,
-        /// Envelope sequence number.
-        seq: u64,
-        /// Wire words, for the receive-path charge.
-        words: u64,
-        /// Payload kind.
-        kind: MessageKind,
-        /// Whether the payload takes the short-method receive path.
-        short: bool,
-    },
+    ArriveSeq(Envelope),
     /// A retransmission timer for envelope `seq` expired (stale once the
     /// envelope is acknowledged).
     Timeout(u64),
@@ -278,127 +222,33 @@ pub enum Event {
     HeartbeatTick,
 }
 
-enum RecvCharge {
-    /// Locally generated task: no receive overhead.
-    None,
-    /// Message receive path with the Table 5 categories.
-    Message {
-        words: u64,
-        kind: MessageKind,
-        short: bool,
-    },
-    /// Lightweight replica-update application.
-    Replica,
-}
-
 enum Work {
     /// Step a thread at its home processor.
     Step(ThreadId),
-    /// Deliver results to the thread's top frame at home, then step.
-    Deliver {
-        thread: ThreadId,
-        results: WordVec,
-        completes_op: bool,
-    },
-    /// Deliver an RPC reply to a detached (migrated) frame parked here.
-    DeliverDetached { thread: ThreadId, results: WordVec },
-    /// A migrated activation group arrives: run its pending invoke and
-    /// continue it here.
-    MigrationArrive {
-        thread: ThreadId,
-        reply_to: ProcId,
-        frames: Vec<Box<dyn Frame>>,
-        invoke: Invoke,
-    },
-    /// Serve an object-migration pull (hand over / forward / retry).
-    ServePull {
-        thread: ThreadId,
-        reply_to: ProcId,
-        target: Goid,
-    },
-    /// Install a pulled object and let the requesting thread re-issue its
-    /// invoke (now local).
-    InstallObject {
-        thread: ThreadId,
-        target: Goid,
-        behavior: Box<dyn Behavior>,
-    },
-    /// A wholly migrated thread arrives: rehome it, run the pending invoke,
-    /// and continue.
-    ThreadArrive {
-        thread: ThreadId,
-        frames: Vec<Box<dyn Frame>>,
-        invoke: Invoke,
-    },
-    /// Server side of an RPC.
-    ServeRpc {
-        thread: ThreadId,
-        reply_to: ProcId,
-        invoke: Invoke,
-    },
-    /// Apply a software-replication update.
-    ReplicaApply,
-    /// Suppress a duplicate delivery of envelope `seq` (recovery protocol).
-    DuplicateDrop { seq: u64 },
-    /// Apply a delivery acknowledgement: release the retransmission buffer.
-    AckApply { seq: u64 },
+    /// Take in a delivered message and act on its payload.
+    Deliver(Message),
+    /// Suppress a duplicate delivery of envelope `seq` (recovery protocol),
+    /// paying the receive path of the original.
+    DuplicateDrop { seq: u64, wire: Wire },
     /// Retransmit (or give up on) unacked envelope `seq`.
     Retransmit { seq: u64 },
     /// Sit out an injected stall or crash-restart outage.
     Outage { duration: Cycles, crash: bool },
     /// Send a failure-detector heartbeat probe to `to`.
     HeartbeatProbe { to: ProcId },
-    /// Receive a heartbeat probe (the ack the receive path sends is the
-    /// liveness evidence; nothing else to do).
-    HeartbeatRecv,
-    /// Apply a primary-backup replication delta at the backup. The fields
-    /// reconstruct the payload if the backup dies before applying it.
-    BackupApply {
-        target: Goid,
-        delta_seq: u64,
-        words: u64,
-    },
-}
-
-/// Receipt the receive path must acknowledge back to the sender.
-#[derive(Copy, Clone)]
-struct AckTicket {
-    to: ProcId,
-    seq: u64,
 }
 
 struct QueuedTask {
-    recv: RecvCharge,
     work: Work,
-    /// `Some` exactly when this task delivers (or re-delivers) a
-    /// sequence-numbered envelope: executing it sends the ack.
-    ack: Option<AckTicket>,
+    /// `Some((sender, seq))` exactly when this task delivers (or
+    /// re-delivers) a sequence-numbered envelope: executing it sends the ack.
+    ack: Option<(ProcId, u64)>,
 }
 
-impl QueuedTask {
-    fn new(recv: RecvCharge, work: Work) -> QueuedTask {
-        QueuedTask {
-            recv,
-            work,
-            ack: None,
-        }
+impl From<Work> for QueuedTask {
+    fn from(work: Work) -> QueuedTask {
+        QueuedTask { work, ack: None }
     }
-}
-
-/// Sender-side retransmission buffer entry for one unacked envelope.
-struct InFlight {
-    src: ProcId,
-    dst: ProcId,
-    kind: MessageKind,
-    /// Wire words (receive-path charge uses the same figure).
-    words: u64,
-    /// Short-method receive path?
-    short: bool,
-    /// The buffered payload; taken by the first delivery, so a `Some` here
-    /// means no copy has been delivered yet.
-    payload: Option<Payload>,
-    /// Send attempts so far (1 = the original send).
-    attempt: u32,
 }
 
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -433,10 +283,6 @@ struct ThreadState {
     /// count measures the access pattern, not the policy's own choices.
     auto_remote: u32,
 }
-
-/// A migrating activation group with its pending invoke, as carried by
-/// [`Payload::Migration`].
-type ArrivingGroup = (ProcId, Vec<Box<dyn Frame>>, Invoke);
 
 struct DetachedFrame {
     /// The migrated activation group, bottom first (one frame in the
@@ -536,6 +382,9 @@ pub struct RunMetrics {
     pub policy: Option<PolicyStats>,
 }
 
+/// How many recorded protocol errors [`System::runtime_errors`] keeps.
+const RUNTIME_ERRORS_KEPT: usize = 1024;
+
 /// The machine + runtime state. Implements [`Simulation`] so a
 /// [`proteus::Engine`] can drive it; most users go through [`Runner`].
 pub struct System {
@@ -572,30 +421,14 @@ pub struct System {
     busy_charged: u64,
     audit_tasks: u64,
     audit_violations: Vec<String>,
+    /// The first `RUNTIME_ERRORS_KEPT` protocol errors, in order.
     runtime_errors: Vec<RuntimeError>,
-    /// Fault injector (`Some` exactly when `cfg.faults` is set). Its absence
-    /// keeps the fault-free fast path bit-identical to the pre-fault runtime.
-    faults: Option<FaultInjector>,
-    /// Next envelope sequence number (global across processors; the *order*
-    /// of allocation is deterministic, so fault decisions replay exactly).
-    next_seq: u64,
-    /// Unacked envelopes, by sequence number.
-    in_flight: BTreeMap<u64, InFlight>,
-    /// Sequence numbers already delivered (or abandoned), for duplicate
-    /// suppression. Ordered so the watermark prune can split off everything
-    /// below [`System::acked_below`] in one call.
-    delivered_seqs: std::collections::BTreeSet<u64>,
-    /// Duplicate-suppression watermark: every envelope with `seq <
-    /// acked_below` has been acknowledged (or abandoned) and its
-    /// `delivered_seqs` entry pruned — any copy still in the network is a
-    /// duplicate by definition. Advanced to the smallest in-flight sequence
-    /// number whenever an envelope leaves the retransmission buffer, keeping
-    /// the table O(in-flight window) on long chaos runs.
-    acked_below: u64,
-    /// Per-processor crash-restart horizon: arrivals before this time are
-    /// lost.
-    crashed_until: Vec<Cycles>,
-    recovery: RecoveryStats,
+    /// Every protocol error ever recorded, counted by stable code.
+    runtime_error_counts: BTreeMap<&'static str, u64>,
+    /// The recovery transport (`Some` exactly when `cfg.faults` is set). Its
+    /// absence keeps the fault-free fast path bit-identical to the
+    /// pre-fault runtime.
+    transport: Option<Transport>,
     /// Permanently failed (fail-stop) processors: dead hardware. Set by
     /// [`Event::Kill`]; never cleared.
     failed: Vec<bool>,
@@ -648,13 +481,11 @@ impl System {
             audit_tasks: 0,
             audit_violations: Vec::new(),
             runtime_errors: Vec::new(),
-            faults: cfg.faults.clone().map(FaultInjector::new),
-            next_seq: 0,
-            in_flight: BTreeMap::new(),
-            delivered_seqs: std::collections::BTreeSet::new(),
-            acked_below: 0,
-            crashed_until: vec![Cycles::ZERO; n as usize],
-            recovery: RecoveryStats::default(),
+            runtime_error_counts: BTreeMap::new(),
+            transport: cfg
+                .faults
+                .clone()
+                .map(|plan| Transport::new(plan, cfg.recovery.clone(), n as usize)),
             failed: vec![false; n as usize],
             declared_dead: vec![false; n as usize],
             delta_seqs: HashMap::new(),
@@ -673,21 +504,10 @@ impl System {
         for p in &mut self.procs {
             p.set_tracer(tracer.clone());
         }
-        if let Some(f) = &mut self.faults {
-            f.set_tracer(tracer.clone());
+        if let Some(t) = &mut self.transport {
+            t.injector.set_tracer(tracer.clone());
         }
         self.tracer = tracer;
-    }
-
-    /// Recovery-protocol activity since the window started.
-    pub fn recovery_stats(&self) -> &RecoveryStats {
-        &self.recovery
-    }
-
-    /// Fault-injection decisions since the window started (`None` when fault
-    /// injection is off).
-    pub fn fault_stats(&self) -> Option<&FaultStats> {
-        self.faults.as_ref().map(|f| f.stats())
     }
 
     /// Failure-detection and replication activity since the window started.
@@ -699,7 +519,7 @@ impl System {
     /// watermark prune keeps this O(in-flight window) regardless of how many
     /// envelopes a long chaos run delivers.
     pub fn dedup_table_size(&self) -> usize {
-        self.delivered_seqs.len()
+        self.transport.as_ref().map_or(0, Transport::dedup_len)
     }
 
     /// `true` if `proc` has suffered a permanent fail-stop crash.
@@ -717,7 +537,8 @@ impl System {
         &self.dispatch
     }
 
-    /// Protocol errors recorded since the system was built.
+    /// The first 1,024 protocol errors recorded since the system was built
+    /// ([`RunMetrics::runtime_errors`] counts all of them).
     pub fn runtime_errors(&self) -> &[RuntimeError] {
         &self.runtime_errors
     }
@@ -813,12 +634,9 @@ impl System {
         self.dispatch = DispatchStats::default();
         self.audit_tasks = 0;
         self.audit_violations.clear();
-        self.recovery = RecoveryStats::default();
         self.failover = FailoverStats::default();
-        if let Some(f) = &mut self.faults {
-            // Counters restart; the decision stream continues so the window
-            // replays identically whether or not a warm-up preceded it.
-            f.reset_stats();
+        if let Some(t) = &mut self.transport {
+            t.reset_stats();
         }
         // Same contract as the fault injector: counters restart, but the
         // sliding windows (and each site's current mode) persist — warm-up
@@ -917,16 +735,14 @@ impl System {
             dispatch: self.dispatch.clone(),
             per_proc,
             audit,
-            runtime_errors: self.runtime_errors.len() as u64,
-            runtime_error_codes: {
-                let mut by_code: BTreeMap<&'static str, u64> = BTreeMap::new();
-                for e in &self.runtime_errors {
-                    *by_code.entry(e.code()).or_insert(0) += 1;
-                }
-                by_code.into_iter().collect()
-            },
-            recovery: self.faults.as_ref().map(|_| self.recovery.clone()),
-            faults: self.faults.as_ref().map(|f| f.stats().clone()),
+            runtime_errors: self.runtime_error_counts.values().sum(),
+            runtime_error_codes: self
+                .runtime_error_counts
+                .iter()
+                .map(|(code, n)| (*code, *n))
+                .collect(),
+            recovery: self.transport.as_ref().map(|t| t.stats.clone()),
+            faults: self.transport.as_ref().map(|t| t.injector.stats().clone()),
             failover: self.cfg.failover.enabled.then(|| self.failover.clone()),
             policy: self.policy.is_active().then(|| self.policy.stats()),
         }
@@ -1015,47 +831,60 @@ impl System {
             proc: None,
             detail: error.to_string(),
         });
-        // Bounded: a malformed-message storm must not grow memory forever.
-        if self.runtime_errors.len() < 1024 {
+        *self.runtime_error_counts.entry(error.code()).or_insert(0) += 1;
+        // Only the stored values are bounded: a malformed-message storm must
+        // not grow memory forever, but every error is counted.
+        if self.runtime_errors.len() < RUNTIME_ERRORS_KEPT {
             self.runtime_errors.push(error);
         }
     }
 
-    /// Wire size of a payload in words: general-purpose RPC stubs marshal a
-    /// larger record than the compact generated migration messages (§4.3).
-    fn wire_words(&self, payload: &Payload) -> u64 {
-        let extra = match payload.kind() {
+    /// Receive-path figures of a payload. Wire size: general-purpose RPC
+    /// stubs marshal a larger record than the compact generated migration
+    /// messages (§4.3). Migrating activations pay thread creation on
+    /// arrival; everything else takes the short-method path unless it is an
+    /// RPC to a long method.
+    fn wire(&self, payload: &Payload) -> Wire {
+        let kind = payload.kind();
+        let stub = match kind {
             MessageKind::RpcRequest | MessageKind::RpcReply => self.cost.rpc_stub_words,
             _ => 0,
         };
-        payload.words() + extra
+        let short = match payload {
+            Payload::RpcRequest { invoke, .. } => invoke.short_method,
+            Payload::Migration { .. } | Payload::ThreadMove { .. } => false,
+            _ => true,
+        };
+        Wire {
+            words: payload.words() + stub,
+            kind,
+            short,
+        }
     }
 
-    /// Charge the sender-side costs of a message (Table 5 categories plus
-    /// network transit) and book the wire traffic. Returns
-    /// `(overhead, Some(latency))`, or `(overhead, None)` when the network
-    /// rejected the route (the error is recorded; nothing was sent).
+    /// Charge the sender-side costs of one message copy (Table 5 categories
+    /// plus network transit), book the wire traffic and count the message.
+    /// Returns `(overhead, Some(latency))`, or `(overhead, None)` when the
+    /// network rejected the route (the error is recorded; nothing was sent).
     fn charge_send(
         &mut self,
         src: ProcId,
         dst: ProcId,
-        kind: MessageKind,
-        words: u64,
+        wire: Wire,
         send_time: Cycles,
     ) -> (Cycles, Option<Cycles>) {
         let was_migration_ctx = self.migration_ctx;
         // Charges for a migration *message* always count toward Table 5,
         // wherever they happen.
-        self.migration_ctx = was_migration_ctx || kind == MessageKind::Migration;
+        self.migration_ctx = was_migration_ctx || wire.kind == MessageKind::Migration;
+        let marshal = self.cost.marshal(wire.words);
         self.charge(cat::LINKAGE_SEND, self.cost.linkage_send);
         self.charge(cat::ALLOC_PACKET_SEND, self.cost.alloc_packet_send);
-        self.charge(cat::MARSHAL, self.cost.marshal(words));
+        self.charge(cat::MARSHAL, marshal);
         self.charge(cat::MESSAGE_SEND, self.cost.message_send);
-        let overhead = self.cost.linkage_send
-            + self.cost.alloc_packet_send
-            + self.cost.marshal(words)
-            + self.cost.message_send;
-        let latency = match self.net.send_at(send_time, src, dst, words) {
+        let overhead =
+            self.cost.linkage_send + self.cost.alloc_packet_send + marshal + self.cost.message_send;
+        let latency = match self.net.send_at(send_time, src, dst, wire.words) {
             Ok(l) => l,
             Err(_) => {
                 self.migration_ctx = was_migration_ctx;
@@ -1065,16 +894,19 @@ impl System {
         };
         self.charge(cat::NETWORK_TRANSIT, latency);
         self.migration_ctx = was_migration_ctx;
+        *self.msg_counts.entry(wire.kind).or_insert(0) += 1;
         (overhead, Some(latency))
     }
 
-    /// Charge the sender-side overhead of a message and schedule its
+    /// Send a payload: charge the sender-side overhead and schedule its
     /// arrival; returns the processor-busy overhead.
     ///
-    /// Under fault injection every remote message rides a sequence-numbered
-    /// envelope through [`System::send_reliable`] (acks themselves are fired
-    /// and forgotten, but still subject to the fault plan). With faults off
-    /// this is the bit-exact pre-fault path.
+    /// Under fault injection every remote message is subject to the fault
+    /// plan. Acks are fired and forgotten (a lost ack is recovered by the
+    /// data sender's retransmission, which the receiver dedups and re-acks);
+    /// everything else rides a sequence-numbered envelope that stays
+    /// buffered until acknowledged. With faults off this is the bit-exact
+    /// pre-fault path.
     fn send_message(
         &mut self,
         src: ProcId,
@@ -1083,264 +915,57 @@ impl System {
         send_time: Cycles,
         queue: &mut EventQueue<Event>,
     ) -> Cycles {
-        if self.faults.is_some() && src != dst {
-            return if payload.kind() == MessageKind::Ack {
-                self.send_ack_unreliable(src, dst, payload, send_time, queue)
-            } else {
-                self.send_reliable(src, dst, payload, send_time, queue)
-            };
-        }
-        let words = self.wire_words(&payload);
-        let kind = payload.kind();
-        let (overhead, latency) = self.charge_send(src, dst, kind, words, send_time);
+        let wire = self.wire(&payload);
+        let (overhead, latency) = self.charge_send(src, dst, wire, send_time);
         let Some(latency) = latency else {
             return overhead;
         };
-        *self.msg_counts.entry(kind).or_insert(0) += 1;
-        if kind == MessageKind::Migration {
+        if wire.kind == MessageKind::Migration {
             self.migrations += 1;
         }
-        queue.schedule_at(
-            send_time + overhead + latency,
-            Event::Arrive(dst, Message { src, payload }),
-        );
-        overhead
-    }
-
-    /// Receive-path short-method flag for a payload (mirrors the charges the
-    /// `Event::Arrive` handler makes on the fault-free path).
-    fn recv_short(payload: &Payload) -> bool {
-        match payload {
-            Payload::RpcRequest { invoke, .. } => invoke.short_method,
-            Payload::Migration { .. } | Payload::ThreadMove { .. } => false,
-            _ => true,
-        }
-    }
-
-    /// Send a payload in a sequence-numbered envelope: the payload stays in
-    /// the sender's retransmission buffer until acknowledged, and only
-    /// envelope metadata travels through the event queue, so drops and
-    /// duplicates are handled without cloning (unclonable) frames.
-    fn send_reliable(
-        &mut self,
-        src: ProcId,
-        dst: ProcId,
-        payload: Payload,
-        send_time: Cycles,
-        queue: &mut EventQueue<Event>,
-    ) -> Cycles {
-        let words = self.wire_words(&payload);
-        let kind = payload.kind();
-        let (overhead, latency) = self.charge_send(src, dst, kind, words, send_time);
-        let Some(latency) = latency else {
-            return overhead;
-        };
-        *self.msg_counts.entry(kind).or_insert(0) += 1;
-        if kind == MessageKind::Migration {
-            self.migrations += 1;
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let short = System::recv_short(&payload);
-        self.in_flight.insert(
-            seq,
-            InFlight {
-                src,
-                dst,
-                kind,
-                words,
-                short,
-                payload: Some(payload),
-                attempt: 1,
-            },
-        );
-        self.launch_envelope(seq, send_time + overhead, latency, queue);
-        overhead
-    }
-
-    /// Retransmission timeout for send attempt `attempt` (exponential
-    /// backoff, capped).
-    fn rto(&self, attempt: u32) -> Cycles {
-        let shift = attempt.saturating_sub(1).min(16);
-        let backed_off = self
-            .cfg
-            .recovery
-            .base_timeout
-            .get()
-            .saturating_mul(1 << shift);
-        Cycles(backed_off.min(self.cfg.recovery.backoff_cap.get()))
-    }
-
-    /// Put one copy of envelope `seq` on the wire at `launch_time`: draw its
-    /// fault fate, schedule the surviving arrival(s) and any injected
-    /// disruption, and arm the retransmission timer.
-    fn launch_envelope(
-        &mut self,
-        seq: u64,
-        launch_time: Cycles,
-        latency: Cycles,
-        queue: &mut EventQueue<Event>,
-    ) {
-        let entry = self
-            .in_flight
-            .get(&seq)
-            .expect("launching unknown envelope");
-        let (src, dst, kind, words, short, attempt) = (
-            entry.src,
-            entry.dst,
-            entry.kind,
-            entry.words,
-            entry.short,
-            entry.attempt,
-        );
-        let fate = self
-            .faults
-            .as_mut()
-            .expect("reliable path requires an injector")
-            .fate(launch_time, src, dst);
-        if fate.dropped {
-            self.recovery.messages_lost += 1;
-        } else {
-            let arrive = launch_time + latency + fate.delay;
-            if let Some(d) = fate.crash {
-                queue.schedule_at(
-                    arrive,
-                    Event::Disrupt {
-                        proc: dst,
-                        duration: d,
-                        crash: true,
-                    },
-                );
-            } else if let Some(d) = fate.stall {
-                queue.schedule_at(
-                    arrive,
-                    Event::Disrupt {
-                        proc: dst,
-                        duration: d,
-                        crash: false,
-                    },
-                );
-            }
-            queue.schedule_at(
-                arrive,
-                Event::ArriveSeq {
-                    dst,
-                    src,
-                    seq,
-                    words,
-                    kind,
-                    short,
-                },
-            );
-            if let Some(extra) = fate.duplicate {
-                // The duplicate copy is real wire traffic and transit time.
-                if let Ok(lat2) = self.net.send_at(arrive, src, dst, words) {
-                    self.charge(cat::NETWORK_TRANSIT, lat2);
-                }
-                queue.schedule_at(
-                    arrive + extra,
-                    Event::ArriveSeq {
+        let launch = send_time + overhead;
+        match (&mut self.transport, payload) {
+            (Some(t), Payload::Ack { seq }) if src != dst => {
+                let ack = || {
+                    Event::Arrive(
                         dst,
-                        src,
-                        seq,
-                        words,
-                        kind,
-                        short,
-                    },
+                        Message {
+                            src,
+                            payload: Payload::Ack { seq },
+                        },
+                    )
+                };
+                t.launch(send_time, launch + latency, src, dst, ack, queue);
+            }
+            (Some(t), payload) if src != dst => {
+                let env = t.buffer(src, dst, wire, payload);
+                self.launch_envelope(env, 1, launch, latency, queue);
+            }
+            (_, payload) => {
+                queue.schedule_at(
+                    launch + latency,
+                    Event::Arrive(dst, Message { src, payload }),
                 );
             }
-        }
-        queue.schedule_at(launch_time + self.rto(attempt), Event::Timeout(seq));
-    }
-
-    /// Fire-and-forget ack send: charged like any message, subject to the
-    /// fault plan, but never buffered — a lost ack is recovered by the data
-    /// sender's retransmission (which the receiver dedups and re-acks).
-    fn send_ack_unreliable(
-        &mut self,
-        src: ProcId,
-        dst: ProcId,
-        payload: Payload,
-        send_time: Cycles,
-        queue: &mut EventQueue<Event>,
-    ) -> Cycles {
-        let Payload::Ack { seq } = payload else {
-            unreachable!("send_ack_unreliable called with a non-ack payload");
-        };
-        let words = self.wire_words(&payload);
-        let (overhead, latency) = self.charge_send(src, dst, MessageKind::Ack, words, send_time);
-        let Some(latency) = latency else {
-            return overhead;
-        };
-        *self.msg_counts.entry(MessageKind::Ack).or_insert(0) += 1;
-        let fate = self
-            .faults
-            .as_mut()
-            .expect("ack path only runs under fault injection")
-            .fate(send_time, src, dst);
-        if fate.dropped {
-            self.recovery.messages_lost += 1;
-            return overhead;
-        }
-        let arrive = send_time + overhead + latency + fate.delay;
-        if let Some(d) = fate.crash {
-            queue.schedule_at(
-                arrive,
-                Event::Disrupt {
-                    proc: dst,
-                    duration: d,
-                    crash: true,
-                },
-            );
-        } else if let Some(d) = fate.stall {
-            queue.schedule_at(
-                arrive,
-                Event::Disrupt {
-                    proc: dst,
-                    duration: d,
-                    crash: false,
-                },
-            );
-        }
-        queue.schedule_at(
-            arrive,
-            Event::Arrive(
-                dst,
-                Message {
-                    src,
-                    payload: Payload::Ack { seq },
-                },
-            ),
-        );
-        if let Some(extra) = fate.duplicate {
-            queue.schedule_at(
-                arrive + extra,
-                Event::Arrive(
-                    dst,
-                    Message {
-                        src,
-                        payload: Payload::Ack { seq },
-                    },
-                ),
-            );
         }
         overhead
     }
 
     /// Charge the receive path of a message; returns the processor-busy
     /// overhead.
-    fn charge_recv(&mut self, words: u64, kind: MessageKind, short: bool) -> Cycles {
+    fn charge_recv(&mut self, wire: Wire) -> Cycles {
         let was = self.migration_ctx;
-        self.migration_ctx = was || kind == MessageKind::Migration;
-        self.charge(cat::COPY_PACKET, self.cost.copy_packet);
-        let thread = if short {
+        self.migration_ctx = was || wire.kind == MessageKind::Migration;
+        let thread = if wire.short {
             Cycles::ZERO
         } else {
             self.cost.thread_creation
         };
+        let unmarshal = self.cost.unmarshal(wire.words);
+        self.charge(cat::COPY_PACKET, self.cost.copy_packet);
         self.charge(cat::THREAD_CREATION, thread);
         self.charge(cat::LINKAGE_RECV, self.cost.linkage_recv);
-        self.charge(cat::UNMARSHAL, self.cost.unmarshal(words));
+        self.charge(cat::UNMARSHAL, unmarshal);
         self.charge(cat::GOID_TRANSLATION, self.cost.goid_translation);
         self.charge(cat::SCHEDULER, self.cost.scheduler);
         self.charge(cat::FORWARDING_CHECK, self.cost.forwarding_check);
@@ -1349,11 +974,26 @@ impl System {
         self.cost.copy_packet
             + thread
             + self.cost.linkage_recv
-            + self.cost.unmarshal(words)
+            + unmarshal
             + self.cost.goid_translation
             + self.cost.scheduler
             + self.cost.forwarding_check
             + self.cost.alloc_packet_recv
+    }
+
+    /// Charge the receive path of a delivered message at `proc`: a replica
+    /// update is applied by a lightweight handler, a self-addressed pull is
+    /// a local retry (the object was in flight) with nothing to receive, and
+    /// everything else pays the full path for its [`Wire`] figures.
+    fn charge_delivery(&mut self, proc: ProcId, msg: &Message) -> Cycles {
+        match msg.payload {
+            Payload::ReplicaUpdate { .. } => {
+                self.charge(cat::REPLICA_APPLY, self.cost.replica_apply);
+                self.cost.replica_apply
+            }
+            Payload::ObjectPull { .. } if msg.src == proc => Cycles::ZERO,
+            ref payload => self.charge_recv(self.wire(payload)),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1551,36 +1191,11 @@ impl System {
             )
     }
 
-    /// Advance the duplicate-suppression watermark after an envelope left
-    /// the retransmission buffer: everything below the smallest still-unacked
-    /// sequence number is retired, so its dedup entries can be pruned. Keeps
-    /// `delivered_seqs` O(in-flight window) on unbounded chaos runs.
-    fn advance_watermark(&mut self) {
-        let floor = self
-            .in_flight
-            .keys()
-            .next()
-            .copied()
-            .unwrap_or(self.next_seq);
-        if floor > self.acked_below {
-            self.acked_below = floor;
-            self.delivered_seqs = self.delivered_seqs.split_off(&floor);
-        }
-    }
-
     /// Declare `victim` dead (heartbeat suspicion threshold reached at the
     /// ring predecessor `proc`): promote its backup, re-home every object it
     /// was primary for, and let in-flight traffic reroute on its next
     /// timeout. All charges land in the detecting task's busy window.
-    fn declare_dead(
-        &mut self,
-        victim: ProcId,
-        now: Cycles,
-        proc: ProcId,
-        acc: Cycles,
-        queue: &mut EventQueue<Event>,
-    ) -> Cycles {
-        let _ = queue;
+    fn declare_dead(&mut self, victim: ProcId, now: Cycles, proc: ProcId, acc: Cycles) -> Cycles {
         if self.declared_dead[victim.index()] {
             return acc;
         }
@@ -1627,101 +1242,101 @@ impl System {
         acc
     }
 
-    /// Reroute (or retire) unacked envelope `seq` whose destination has been
-    /// declared dead: pick a live destination by payload kind — post-rehome,
-    /// the object directory already points at the promoted backup — and
-    /// relaunch; envelopes with no live destination are dropped with
-    /// [`RuntimeError::UnroutableToDead`].
+    /// Where an unacked payload goes once its destination is declared dead
+    /// (post-rehome, the object directory already points at the promoted
+    /// backup); `None` when nothing is left to redirect.
+    fn reroute_target(&self, payload: &Payload) -> Option<ProcId> {
+        match payload {
+            // A probe to a declared-dead processor has served its purpose.
+            Payload::Heartbeat | Payload::ReplicaUpdate { .. } | Payload::Ack { .. } => None,
+            // Calls follow the object.
+            Payload::RpcRequest { invoke, .. }
+            | Payload::Migration { invoke, .. }
+            | Payload::ThreadMove { invoke, .. } => Some(self.objects.home(invoke.target)),
+            Payload::ObjectPull { target, .. } | Payload::ObjectMove { target, .. } => {
+                Some(self.objects.home(*target))
+            }
+            // Replies follow the caller: a parked detached group, or the
+            // thread's home.
+            Payload::RpcReply { thread, .. } => Some(
+                self.detached
+                    .get(thread)
+                    .map(|d| d.at)
+                    .unwrap_or(self.threads[thread.index()].home),
+            ),
+            Payload::OperationReturn { thread, .. } => Some(self.threads[thread.index()].home),
+            // The backup died: re-replicate to the home's new backup.
+            Payload::BackupDelta { target, .. } => {
+                Some(self.backup_for(self.objects.home(*target)))
+            }
+        }
+    }
+
+    /// Reroute (or retire) unacked envelope `env` whose destination has been
+    /// declared dead: relaunch it to its [`System::reroute_target`], or drop
+    /// it with [`RuntimeError::UnroutableToDead`] when there is no live one.
+    /// A delivered envelope whose ack was lost (no buffered payload) did its
+    /// work before the death, and simply retires.
     fn reroute(
         &mut self,
-        seq: u64,
+        env: Envelope,
         now: Cycles,
         proc: ProcId,
         acc: Cycles,
         queue: &mut EventQueue<Event>,
     ) -> Cycles {
-        let entry = self
-            .in_flight
-            .get(&seq)
-            .expect("reroute on unknown envelope");
-        let (src, dst, kind, words) = (entry.src, entry.dst, entry.kind, entry.words);
-        debug_assert!(self.declared_dead[dst.index()]);
-        let new_dst = match entry.payload.as_ref() {
-            // Tombstone: a copy was delivered (and executed) before the
-            // death; only the ack was lost. The work is done — retire.
-            None => None,
-            Some(p) => match p {
-                // A probe to a declared-dead processor has served its
-                // purpose; nothing to redirect.
-                Payload::Heartbeat => None,
-                // Calls follow the object: the directory already points at
-                // the promoted backup.
-                Payload::RpcRequest { invoke, .. }
-                | Payload::Migration { invoke, .. }
-                | Payload::ThreadMove { invoke, .. } => Some(self.objects.home(invoke.target)),
-                Payload::ObjectPull { target, .. } | Payload::ObjectMove { target, .. } => {
-                    Some(self.objects.home(*target))
-                }
-                // Replies follow the caller: a parked detached group, or the
-                // thread's home.
-                Payload::RpcReply { thread, .. } => Some(
-                    self.detached
-                        .get(thread)
-                        .map(|d| d.at)
-                        .unwrap_or(self.threads[thread.index()].home),
-                ),
-                Payload::OperationReturn { thread, .. } => Some(self.threads[thread.index()].home),
-                // The backup died: re-replicate to the home's new backup.
-                Payload::BackupDelta { target, .. } => {
-                    Some(self.backup_for(self.objects.home(*target)))
-                }
-                Payload::ReplicaUpdate { .. } | Payload::Ack { .. } => None,
-            },
-        };
-        match new_dst {
-            Some(d) if !self.declared_dead[d.index()] && d != dst => {
-                self.failover.rerouted_calls += 1;
-                self.charge(cat::RECOVERY_REROUTE, self.cost.reroute);
-                let acc = acc + self.cost.reroute;
-                let entry = self.in_flight.get_mut(&seq).expect("entry checked above");
-                entry.dst = d;
-                entry.attempt = 1;
-                let (overhead, latency) = self.charge_send(src, d, kind, words, now + acc);
-                let acc = acc + overhead;
-                *self.msg_counts.entry(kind).or_insert(0) += 1;
-                self.tracer.emit_with(|| TraceEvent {
-                    at: now + acc,
-                    source: "runtime",
-                    kind: "reroute",
-                    proc: Some(proc),
-                    detail: format!("seq={seq} kind={kind:?} {} -> {}", dst.index(), d.index()),
-                });
-                if let Some(latency) = latency {
-                    self.launch_envelope(seq, now + acc, latency, queue);
-                }
-                acc
-            }
-            _ => {
-                // No live destination (or the work already happened): retire
-                // the envelope so the watermark can advance.
-                let retired = self.in_flight.remove(&seq).expect("entry checked above");
-                if retired.payload.is_some() && kind != MessageKind::Heartbeat {
+        let dead = env.dst;
+        debug_assert!(self.declared_dead[dead.index()]);
+        let to = self
+            .transport
+            .as_ref()
+            .and_then(|t| t.in_flight.get(&env.seq)?.payload.as_ref())
+            .and_then(|p| self.reroute_target(p))
+            .filter(|d| !self.declared_dead[d.index()] && *d != dead);
+        let redirected = to.and_then(|d| self.transport.as_mut()?.redirect(env.seq, d));
+        let Some(env) = redirected else {
+            let retired = self.retire(env.seq);
+            if let Some(payload) = retired.and_then(|e| e.payload) {
+                if env.wire.kind != MessageKind::Heartbeat {
                     self.record_runtime_error(
                         now + acc,
-                        RuntimeError::UnroutableToDead { dst, seq },
+                        RuntimeError::UnroutableToDead {
+                            dst: dead,
+                            seq: env.seq,
+                        },
                     );
                 }
-                if let Some(Payload::Migration { frames, .. })
-                | Some(Payload::ThreadMove { frames, .. }) = retired.payload
+                if let Payload::Migration { frames, .. } | Payload::ThreadMove { frames, .. } =
+                    payload
                 {
-                    let n = frames.len() as u64;
+                    self.failover.frames_lost += frames.len() as u64;
                     self.recycle_frame_vec(frames);
-                    self.failover.frames_lost += n;
                 }
-                self.advance_watermark();
-                acc
             }
+            return acc;
+        };
+        self.failover.rerouted_calls += 1;
+        self.charge(cat::RECOVERY_REROUTE, self.cost.reroute);
+        let acc = acc + self.cost.reroute;
+        let (overhead, latency) = self.charge_send(env.src, env.dst, env.wire, now + acc);
+        let acc = acc + overhead;
+        self.tracer.emit_with(|| TraceEvent {
+            at: now + acc,
+            source: "runtime",
+            kind: "reroute",
+            proc: Some(proc),
+            detail: format!(
+                "seq={} kind={:?} {} -> {}",
+                env.seq,
+                env.wire.kind,
+                dead.index(),
+                env.dst.index()
+            ),
+        });
+        if let Some(latency) = latency {
+            self.launch_envelope(env, 1, now + acc, latency, queue);
         }
+        acc
     }
 
     /// A permanent fail-stop crash lands at `victim`: mark the hardware
@@ -1729,16 +1344,12 @@ impl System {
     /// buffers, and terminate the threads that died with it. Nothing is
     /// charged — death is not protocol work; detection and recovery (which
     /// are) happen later in live processors' task windows.
-    fn kill_processor(&mut self, now: Cycles, victim: ProcId, queue: &mut EventQueue<Event>) {
-        let _ = queue;
+    fn kill_processor(&mut self, now: Cycles, victim: ProcId) {
         let v = victim.index();
         if self.failed[v] {
             return;
         }
         self.failed[v] = true;
-        // A permanent crash is a restart window that never closes: the
-        // existing crash-horizon checks swallow every later arrival.
-        self.crashed_until[v] = Cycles(u64::MAX);
         self.tracer.emit_with(|| TraceEvent {
             at: now,
             source: "runtime",
@@ -1747,125 +1358,19 @@ impl System {
             detail: "permanent fail-stop crash".to_string(),
         });
         // Queued envelope deliveries die un-executed, but the senders still
-        // hold the payload copies (they were never acknowledged): restore
-        // them to the retransmission buffers and undo the delivery
-        // bookkeeping, so the next timeout redelivers — and, once the death
-        // is declared, reroutes. Locally generated work dies with the node.
+        // hold them unacknowledged: put each payload back in its buffer
+        // entry, so the next timeout redelivers it — and, once the death is
+        // declared, reroutes it. Replica updates are not restored: the
+        // replica they refresh died with the node. Locally generated work
+        // dies with the node too.
         let orphans = self.procs[v].drain();
-        for task in orphans {
-            let QueuedTask { work, ack, .. } = task;
-            let Some(ticket) = ack else { continue };
-            let seq = ticket.seq;
-            let kind = self.in_flight.get(&seq).map(|e| e.kind);
-            let payload = match (work, kind) {
-                (
-                    Work::ServeRpc {
-                        thread,
-                        reply_to,
-                        invoke,
-                    },
-                    _,
-                ) => Some(Payload::RpcRequest {
-                    thread,
-                    reply_to,
-                    invoke,
-                }),
-                (
-                    Work::Deliver {
-                        thread,
-                        results,
-                        completes_op,
-                    },
-                    Some(MessageKind::OperationReturn),
-                ) => Some(Payload::OperationReturn {
-                    thread,
-                    completes_op,
-                    results,
-                }),
-                (
-                    Work::Deliver {
-                        thread, results, ..
-                    },
-                    _,
-                )
-                | (Work::DeliverDetached { thread, results }, _) => {
-                    Some(Payload::RpcReply { thread, results })
-                }
-                (
-                    Work::MigrationArrive {
-                        thread,
-                        reply_to,
-                        frames,
-                        invoke,
-                    },
-                    _,
-                ) => Some(Payload::Migration {
-                    thread,
-                    reply_to,
-                    frames,
-                    invoke,
-                }),
-                (
-                    Work::ServePull {
-                        thread,
-                        reply_to,
-                        target,
-                    },
-                    _,
-                ) => Some(Payload::ObjectPull {
-                    thread,
-                    reply_to,
-                    target,
-                }),
-                (
-                    Work::InstallObject {
-                        thread,
-                        target,
-                        behavior,
-                    },
-                    _,
-                ) => Some(Payload::ObjectMove {
-                    thread,
-                    target,
-                    behavior,
-                }),
-                (
-                    Work::ThreadArrive {
-                        thread,
-                        frames,
-                        invoke,
-                    },
-                    _,
-                ) => Some(Payload::ThreadMove {
-                    thread,
-                    frames,
-                    invoke,
-                }),
-                (
-                    Work::BackupApply {
-                        target,
-                        delta_seq,
-                        words,
-                    },
-                    _,
-                ) => Some(Payload::BackupDelta {
-                    target,
-                    delta_seq,
-                    words,
-                }),
-                (Work::HeartbeatRecv, _) => Some(Payload::Heartbeat),
-                // Duplicate suppressions and everything else deliverable
-                // was already processed once — nothing to restore.
-                _ => None,
-            };
-            if let Some(p) = payload {
-                if let Some(entry) = self.in_flight.get_mut(&seq) {
-                    debug_assert!(
-                        entry.payload.is_none(),
-                        "restoring an envelope that was never delivered"
-                    );
-                    entry.payload = Some(p);
-                    self.delivered_seqs.remove(&seq);
+        if let Some(t) = &mut self.transport {
+            t.kill(victim);
+            for task in orphans {
+                if let (Work::Deliver(msg), Some((_, seq))) = (task.work, task.ack) {
+                    if !matches!(msg.payload, Payload::ReplicaUpdate { .. }) {
+                        t.restore(seq, msg.payload);
+                    }
                 }
             }
         }
@@ -1994,9 +1499,10 @@ impl System {
     // Execution slices
     // ------------------------------------------------------------------
 
-    /// Step a thread at its home processor until it blocks, sleeps, yields,
-    /// or finishes. Returns total busy cycles (including `acc` carried in).
-    fn run_thread_slice(
+    /// Resume thread `tid` at its home processor `proc`, first handing
+    /// `deliver` (results, and whether they complete an operation) to its
+    /// top frame. Returns total busy cycles (including `acc` carried in).
+    fn resume_home(
         &mut self,
         now: Cycles,
         proc: ProcId,
@@ -2012,9 +1518,9 @@ impl System {
         if self.threads[t].status == ThreadStatus::Done {
             return acc;
         }
-        let mut frame = match self.threads[t].stack.pop() {
-            Some(f) => f,
-            None => return acc,
+        let mut stack = std::mem::take(&mut self.threads[t].stack);
+        let Some(mut frame) = stack.pop() else {
+            return acc;
         };
         self.threads[t].status = ThreadStatus::Active;
         if let Some((results, completes_op)) = deliver {
@@ -2023,6 +1529,57 @@ impl System {
             }
             frame.on_result(&results);
         }
+        self.run_slice(now, proc, tid, frame, stack, None, acc, queue)
+    }
+
+    /// Step an activation group — `lower` frames (bottom first) under the
+    /// running `frame` — of thread `tid` at `proc`; returns total busy
+    /// cycles (including `acc` carried in). `away` is `None` at the thread's
+    /// home, where `lower` is the thread's stack, and `Some(reply_to)` for a
+    /// migrated group, whose final return short-circuits to `reply_to`.
+    #[allow(clippy::too_many_arguments)]
+    fn run_slice(
+        &mut self,
+        now: Cycles,
+        proc: ProcId,
+        tid: ThreadId,
+        frame: Box<dyn Frame>,
+        mut lower: Vec<Box<dyn Frame>>,
+        away: Option<ProcId>,
+        acc: Cycles,
+        queue: &mut EventQueue<Event>,
+    ) -> Cycles {
+        let acc = self.step_group(now, proc, tid, frame, &mut lower, away, acc, queue);
+        match away {
+            None => self.threads[tid.index()].stack = lower,
+            Some(_) => self.recycle_frame_vec(lower),
+        }
+        acc
+    }
+
+    /// The step loop of [`System::run_slice`]: run the group until it
+    /// blocks, sleeps, moves, or finishes. Home and migrated groups differ
+    /// only where the paper's mechanism does (§3.2): think time runs at home
+    /// only, a migrated group's base returns straight to the original
+    /// caller, and a remote invoke under message passing migrates the top
+    /// of the home stack but re-migrates a migrated group whole.
+    ///
+    /// A well-formed simulation never sleeps a migrated frame; if one does,
+    /// the error is recorded and the thread terminated instead of aborting
+    /// the run.
+    #[allow(clippy::too_many_arguments)]
+    fn step_group(
+        &mut self,
+        now: Cycles,
+        proc: ProcId,
+        tid: ThreadId,
+        mut frame: Box<dyn Frame>,
+        lower: &mut Vec<Box<dyn Frame>>,
+        away: Option<ProcId>,
+        mut acc: Cycles,
+        queue: &mut EventQueue<Event>,
+    ) -> Cycles {
+        let t = tid.index();
         let mut steps = 0u64;
         loop {
             steps += 1;
@@ -2042,41 +1599,63 @@ impl System {
                     if child.is_operation() {
                         self.threads[t].op_started = Some(now + acc);
                     }
-                    self.threads[t].stack.push(frame);
+                    lower.push(frame);
                     frame = child;
+                }
+                StepResult::Sleep(_) if away.is_some() => {
+                    // Think time runs at the thread's home, never at a
+                    // migration target (the driver frame stays behind).
+                    let error = RuntimeError::DetachedFrameSlept {
+                        thread: tid,
+                        at: proc,
+                    };
+                    self.record_runtime_error(now + acc, error);
+                    return acc;
                 }
                 StepResult::Sleep(d) => {
                     if d.is_zero() {
                         continue;
                     }
-                    self.threads[t].stack.push(frame);
+                    lower.push(frame);
                     self.threads[t].status = ThreadStatus::Sleeping;
                     queue.schedule_at(now + acc + d, Event::Wake(tid));
                     return acc;
                 }
                 StepResult::Return(vals) => {
+                    let parent = lower.pop();
+                    if let (None, Some(reply_to)) = (&parent, away) {
+                        // The group's base returned: short-circuit straight
+                        // to the original caller, not through intermediate
+                        // processors (§3.2).
+                        let payload = Payload::OperationReturn {
+                            thread: tid,
+                            completes_op: frame.is_operation(),
+                            results: vals.into(),
+                        };
+                        return acc + self.send_message(proc, reply_to, payload, now + acc, queue);
+                    }
                     if frame.is_operation() {
                         acc += self.complete_op(tid, now + acc);
                     }
-                    match self.threads[t].stack.pop() {
-                        Some(mut parent) => {
-                            self.charge(cat::LOCAL_LINKAGE, self.cost.local_call);
-                            acc += self.cost.local_call;
-                            parent.on_result(&vals);
-                            frame = parent;
-                        }
-                        None => {
-                            self.threads[t].status = ThreadStatus::Done;
-                            return acc;
-                        }
-                    }
+                    let Some(mut parent) = parent else {
+                        self.threads[t].status = ThreadStatus::Done;
+                        return acc;
+                    };
+                    self.charge(cat::LOCAL_LINKAGE, self.cost.local_call);
+                    acc += self.cost.local_call;
+                    parent.on_result(&vals);
+                    frame = parent;
                 }
                 StepResult::Halt => {
                     self.threads[t].status = ThreadStatus::Done;
                     return acc;
                 }
-                StepResult::Invoke(inv) => match self.cfg.scheme.access {
-                    DataAccess::SharedMemory => {
+                StepResult::Invoke(inv) => {
+                    debug_assert!(
+                        away.is_none() || self.cfg.scheme.access == DataAccess::MessagePassing,
+                        "detached frames exist only under message passing"
+                    );
+                    if self.cfg.scheme.access == DataAccess::SharedMemory {
                         self.record_dispatch(
                             now + acc,
                             proc,
@@ -2088,316 +1667,33 @@ impl System {
                         frame.on_result(&results);
                         // Yield so lock windows interleave near the correct
                         // global time (DESIGN.md §6.2).
-                        self.threads[t].stack.push(frame);
-                        self.procs[proc.index()]
-                            .enqueue(QueuedTask::new(RecvCharge::None, Work::Step(tid)));
+                        lower.push(frame);
+                        self.procs[proc.index()].enqueue(Work::Step(tid).into());
                         return acc;
                     }
-                    DataAccess::ObjectMigration => {
-                        self.charge(cat::LOCALITY_CHECK, self.cost.locality_check);
-                        acc += self.cost.locality_check;
-                        let home = self.objects.home(inv.target);
-                        if home == proc {
-                            if self.objects.entry(inv.target).behavior.is_none() {
-                                // Rehomed to us but still in flight (another
-                                // thread on this processor pulled it): retry
-                                // once it has had time to arrive.
-                                self.threads[t].stack.push(frame);
-                                self.threads[t].status = ThreadStatus::Sleeping;
-                                queue.schedule_at(now + acc + Cycles(200), Event::Wake(tid));
-                                return acc;
-                            }
-                            self.record_dispatch(
-                                now + acc,
-                                proc,
-                                frame.label(),
-                                DispatchKind::LocalInline,
-                            );
-                            let (lat, results) = self.invoke_inline(proc, &inv, now + acc, queue);
-                            acc += lat;
-                            frame.on_result(&results);
-                            continue;
-                        }
-                        // Pull the object here (Emerald-style); the frame
-                        // re-issues the same invoke once it is installed.
-                        self.record_dispatch(
-                            now + acc,
-                            proc,
-                            frame.label(),
-                            DispatchKind::ObjectPull,
-                        );
-                        self.threads[t].status = ThreadStatus::WaitingReply;
-                        self.threads[t].stack.push(frame);
-                        let payload = Payload::ObjectPull {
-                            thread: tid,
-                            reply_to: proc,
-                            target: inv.target,
-                        };
-                        acc += self.send_message(proc, home, payload, now + acc, queue);
-                        return acc;
-                    }
-                    DataAccess::ThreadMigration => {
-                        self.charge(cat::LOCALITY_CHECK, self.cost.locality_check);
-                        acc += self.cost.locality_check;
-                        let home = self.objects.home(inv.target);
-                        if home == proc {
-                            self.record_dispatch(
-                                now + acc,
-                                proc,
-                                frame.label(),
-                                DispatchKind::LocalInline,
-                            );
-                            let (lat, results) = self.invoke_inline(proc, &inv, now + acc, queue);
-                            acc += lat;
-                            frame.on_result(&results);
-                            continue;
-                        }
-                        // Move the whole thread to the data (§2.3): every
-                        // activation ships; the thread is rehomed on arrival.
-                        self.record_dispatch(
-                            now + acc,
-                            proc,
-                            frame.label(),
-                            DispatchKind::ThreadMove,
-                        );
-                        self.threads[t].status = ThreadStatus::Moving;
-                        let mut frames = std::mem::take(&mut self.threads[t].stack);
-                        frames.push(frame);
-                        let payload = Payload::ThreadMove {
-                            thread: tid,
-                            frames,
-                            invoke: inv,
-                        };
-                        acc += self.send_message(proc, home, payload, now + acc, queue);
-                        return acc;
-                    }
-                    DataAccess::MessagePassing => {
-                        self.charge(cat::LOCALITY_CHECK, self.cost.locality_check);
-                        acc += self.cost.locality_check;
-                        let home = self.objects.home(inv.target);
-                        let replica_served = home != proc && self.replica_readable(proc, &inv);
-                        if inv.annotation == Annotation::Auto && self.cfg.scheme.migration {
-                            self.note_auto_access(tid, frame.label(), home, replica_served);
-                        }
-                        if home == proc || replica_served {
-                            let kind = if home == proc {
-                                DispatchKind::LocalInline
-                            } else {
-                                DispatchKind::ReplicaRead
-                            };
-                            self.record_dispatch(now + acc, proc, frame.label(), kind);
-                            let (lat, results) = self.invoke_inline(proc, &inv, now + acc, queue);
-                            acc += lat;
-                            frame.on_result(&results);
-                            continue;
-                        }
-                        // How much of the stack migrates: the top activation
-                        // (the paper's prototype) or the whole group above
-                        // the thread base (§6 future work).
-                        let depth = match inv.annotation {
-                            Annotation::Migrate => 1,
-                            Annotation::MigrateAll => self.threads[t].stack.len(),
-                            Annotation::Rpc => 0,
-                            Annotation::Auto => {
-                                if self.cfg.scheme.migration {
-                                    acc += self.cost.policy_decide;
-                                    usize::from(self.policy_decide(now + acc, proc, frame.label()))
-                                } else {
-                                    0
-                                }
-                            }
-                        };
-                        if self.cfg.scheme.migration
-                            && depth > 0
-                            && !self.threads[t].stack.is_empty()
-                        {
-                            // The activation group leaves home; linkage
-                            // (reply_to) lets its eventual return
-                            // short-circuit back.
-                            self.record_dispatch(
-                                now + acc,
-                                proc,
-                                frame.label(),
-                                DispatchKind::Migration,
-                            );
-                            self.threads[t].status = ThreadStatus::Detached;
-                            let len = self.threads[t].stack.len();
-                            let keep = (len + 1 - depth.min(len)).min(len);
-                            let mut frames = self.take_frame_vec();
-                            frames.extend(self.threads[t].stack.drain(keep..));
-                            frames.push(frame);
-                            let payload = Payload::Migration {
-                                thread: tid,
-                                reply_to: proc,
-                                frames,
-                                invoke: inv,
-                            };
-                            acc += self.send_message(proc, home, payload, now + acc, queue);
-                            return acc;
-                        }
-                        self.record_dispatch(now + acc, proc, frame.label(), DispatchKind::Rpc);
-                        self.threads[t].status = ThreadStatus::WaitingReply;
-                        self.threads[t].stack.push(frame);
-                        let payload = Payload::RpcRequest {
-                            thread: tid,
-                            reply_to: proc,
-                            invoke: inv,
-                        };
-                        acc += self.send_message(proc, home, payload, now + acc, queue);
-                        return acc;
-                    }
-                },
-            }
-        }
-    }
-
-    /// Continue a detached (migrated) activation group at `proc`.
-    /// `arriving` carries the linkage + pending invoke when the group has
-    /// just arrived.
-    ///
-    /// A well-formed simulation never violates this function's protocol
-    /// invariants (a migration message carries at least one frame; a reply
-    /// for a detached activation finds its group parked here; detached
-    /// frames never sleep). Violations return `Err` with the busy cycles
-    /// already charged, so the caller can keep the processor accounting
-    /// consistent while recording the error instead of aborting the run.
-    #[allow(clippy::too_many_arguments)]
-    fn run_detached_slice(
-        &mut self,
-        now: Cycles,
-        proc: ProcId,
-        tid: ThreadId,
-        arriving: Option<ArrivingGroup>,
-        deliver: Option<WordVec>,
-        mut acc: Cycles,
-        queue: &mut EventQueue<Event>,
-    ) -> Result<Cycles, (Cycles, RuntimeError)> {
-        let (mut lower, mut frame, reply_to) = match arriving {
-            Some((reply_to, mut frames, inv)) => {
-                // The pending invoke runs here — that is the point of the
-                // migration. User code at this hop counts toward Table 5.
-                debug_assert_eq!(
-                    self.objects.home(inv.target),
-                    proc,
-                    "migration arrived at wrong processor"
-                );
-                let Some(mut frame) = frames.pop() else {
-                    return Err((
-                        acc,
-                        RuntimeError::EmptyMigration {
-                            thread: tid,
-                            at: proc,
-                        },
-                    ));
-                };
-                self.migration_ctx = true;
-                let (lat, results) = self.invoke_inline(proc, &inv, now + acc, queue);
-                self.migration_ctx = false;
-                acc += lat;
-                frame.on_result(&results);
-                (frames, frame, reply_to)
-            }
-            None => {
-                let Some(mut d) = self.detached.remove(&tid) else {
-                    return Err((
-                        acc,
-                        RuntimeError::UnknownDetachedGroup {
-                            thread: tid,
-                            at: proc,
-                        },
-                    ));
-                };
-                debug_assert_eq!(d.at, proc, "detached frames resumed off-site");
-                let Some(mut frame) = d.stack.pop() else {
-                    return Err((
-                        acc,
-                        RuntimeError::UnknownDetachedGroup {
-                            thread: tid,
-                            at: proc,
-                        },
-                    ));
-                };
-                if let Some(results) = deliver {
-                    frame.on_result(&results);
-                }
-                (d.stack, frame, d.reply_to)
-            }
-        };
-        let mut steps = 0u64;
-        loop {
-            steps += 1;
-            assert!(steps < 1_000_000, "frame livelock: {}", frame.label());
-            let ctx = StepCtx {
-                now: now + acc,
-                proc,
-            };
-            match frame.step(&ctx) {
-                StepResult::Compute(c) => {
-                    self.charge_user(c);
-                    acc += c;
-                }
-                StepResult::Call(child) => {
-                    // Local call within the migrated group (only possible
-                    // once multiple activations can migrate together).
-                    self.charge(cat::LOCAL_LINKAGE, self.cost.local_call);
-                    acc += self.cost.local_call;
-                    if child.is_operation() {
-                        self.threads[tid.index()].op_started = Some(now + acc);
-                    }
-                    lower.push(frame);
-                    frame = child;
-                }
-                StepResult::Sleep(_) => {
-                    // Think time runs at the thread's home, never at a
-                    // migration target (the driver frame stays behind).
-                    return Err((
-                        acc,
-                        RuntimeError::DetachedFrameSlept {
-                            thread: tid,
-                            at: proc,
-                        },
-                    ));
-                }
-                StepResult::Return(vals) => match lower.pop() {
-                    Some(mut parent) => {
-                        if frame.is_operation() {
-                            acc += self.complete_op(tid, now + acc);
-                        }
-                        self.charge(cat::LOCAL_LINKAGE, self.cost.local_call);
-                        acc += self.cost.local_call;
-                        parent.on_result(&vals);
-                        frame = parent;
-                    }
-                    None => {
-                        // The group's base returned: short-circuit straight
-                        // to the original caller, not through intermediate
-                        // processors (§3.2).
-                        self.recycle_frame_vec(lower);
-                        let payload = Payload::OperationReturn {
-                            thread: tid,
-                            completes_op: frame.is_operation(),
-                            results: vals.into(),
-                        };
-                        acc += self.send_message(proc, reply_to, payload, now + acc, queue);
-                        return Ok(acc);
-                    }
-                },
-                StepResult::Halt => {
-                    self.threads[tid.index()].status = ThreadStatus::Done;
-                    return Ok(acc);
-                }
-                StepResult::Invoke(inv) => {
                     self.charge(cat::LOCALITY_CHECK, self.cost.locality_check);
                     acc += self.cost.locality_check;
-                    debug_assert_eq!(
-                        self.cfg.scheme.access,
-                        DataAccess::MessagePassing,
-                        "detached frames exist only under message passing"
-                    );
                     let home = self.objects.home(inv.target);
-                    let replica_served = home != proc && self.replica_readable(proc, &inv);
-                    if inv.annotation == Annotation::Auto && self.cfg.scheme.migration {
+                    let message_passing = self.cfg.scheme.access == DataAccess::MessagePassing;
+                    let replica_served =
+                        message_passing && home != proc && self.replica_readable(proc, &inv);
+                    if message_passing
+                        && inv.annotation == Annotation::Auto
+                        && self.cfg.scheme.migration
+                    {
                         self.note_auto_access(tid, frame.label(), home, replica_served);
+                    }
+                    if home == proc
+                        && self.cfg.scheme.access == DataAccess::ObjectMigration
+                        && self.objects.entry(inv.target).behavior.is_none()
+                    {
+                        // Rehomed to us but still in flight (another thread
+                        // on this processor pulled it): retry once it has
+                        // had time to arrive.
+                        lower.push(frame);
+                        self.threads[t].status = ThreadStatus::Sleeping;
+                        queue.schedule_at(now + acc + Cycles(200), Event::Wake(tid));
+                        return acc;
                     }
                     if home == proc || replica_served {
                         let kind = if home == proc {
@@ -2411,59 +1707,119 @@ impl System {
                         frame.on_result(&results);
                         continue;
                     }
-                    let migrate_again = self.cfg.scheme.migration
-                        && match inv.annotation {
-                            Annotation::Migrate | Annotation::MigrateAll => true,
-                            Annotation::Rpc => false,
-                            Annotation::Auto => {
-                                acc += self.cost.policy_decide;
-                                self.policy_decide(now + acc, proc, frame.label())
-                            }
-                        };
-                    if migrate_again {
-                        // Re-migrate the whole group, passing the original
-                        // linkage along and leaving nothing behind ("destroy
-                        // the original thread" on this processor). A group
-                        // cannot split further once detached.
-                        self.record_dispatch(
-                            now + acc,
-                            proc,
-                            frame.label(),
-                            DispatchKind::Remigration,
-                        );
-                        let mut frames = std::mem::take(&mut lower);
-                        frames.push(frame);
-                        let payload = Payload::Migration {
-                            thread: tid,
-                            reply_to,
-                            frames,
-                            invoke: inv,
-                        };
-                        acc += self.send_message(proc, home, payload, now + acc, queue);
-                        return Ok(acc);
-                    }
-                    // RPC from the current location; the reply comes back
-                    // here, where the group parks.
-                    self.record_dispatch(now + acc, proc, frame.label(), DispatchKind::Rpc);
-                    let mut stack = std::mem::take(&mut lower);
-                    stack.push(frame);
-                    self.detached.insert(
-                        tid,
-                        DetachedFrame {
-                            stack,
-                            at: proc,
-                            reply_to,
-                        },
-                    );
-                    let payload = Payload::RpcRequest {
-                        thread: tid,
-                        reply_to: proc,
-                        invoke: inv,
-                    };
-                    acc += self.send_message(proc, home, payload, now + acc, queue);
-                    return Ok(acc);
+                    let payload =
+                        self.dispatch_remote(now, proc, tid, frame, lower, away, inv, &mut acc);
+                    return acc + self.send_message(proc, home, payload, now + acc, queue);
                 }
             }
+        }
+    }
+
+    /// Choose the mechanism for a remote invoke `inv` issued by `frame` (of
+    /// the group `lower` + `frame`, at home or `away`), leave the group in
+    /// the state that mechanism needs, and return the message to send to the
+    /// target's home.
+    #[allow(clippy::too_many_arguments)]
+    fn dispatch_remote(
+        &mut self,
+        now: Cycles,
+        proc: ProcId,
+        tid: ThreadId,
+        frame: Box<dyn Frame>,
+        lower: &mut Vec<Box<dyn Frame>>,
+        away: Option<ProcId>,
+        inv: Invoke,
+        acc: &mut Cycles,
+    ) -> Payload {
+        let t = tid.index();
+        let site = frame.label();
+        match self.cfg.scheme.access {
+            // Pull the object here (Emerald-style); the frame re-issues the
+            // same invoke once it is installed.
+            DataAccess::ObjectMigration => {
+                self.record_dispatch(now + *acc, proc, site, DispatchKind::ObjectPull);
+                self.threads[t].status = ThreadStatus::WaitingReply;
+                lower.push(frame);
+                return Payload::ObjectPull {
+                    thread: tid,
+                    reply_to: proc,
+                    target: inv.target,
+                };
+            }
+            // Move the whole thread to the data (§2.3): every activation
+            // ships; the thread is rehomed on arrival.
+            DataAccess::ThreadMigration => {
+                self.record_dispatch(now + *acc, proc, site, DispatchKind::ThreadMove);
+                self.threads[t].status = ThreadStatus::Moving;
+                let mut frames = std::mem::take(lower);
+                frames.push(frame);
+                return Payload::ThreadMove {
+                    thread: tid,
+                    frames,
+                    invoke: inv,
+                };
+            }
+            DataAccess::MessagePassing | DataAccess::SharedMemory => {}
+        }
+        let migrate = self.cfg.scheme.migration
+            && match inv.annotation {
+                Annotation::Migrate | Annotation::MigrateAll => true,
+                Annotation::Rpc => false,
+                Annotation::Auto => {
+                    *acc += self.cost.policy_decide;
+                    self.policy_decide(now + *acc, proc, site)
+                }
+            };
+        let kind = match away {
+            // The thread base never leaves home.
+            None if migrate && !lower.is_empty() => DispatchKind::Migration,
+            Some(_) if migrate => DispatchKind::Remigration,
+            _ => DispatchKind::Rpc,
+        };
+        self.record_dispatch(now + *acc, proc, site, kind);
+        if kind == DispatchKind::Rpc {
+            lower.push(frame);
+            match away {
+                None => self.threads[t].status = ThreadStatus::WaitingReply,
+                // The reply comes back here, where the group parks.
+                Some(reply_to) => {
+                    let stack = std::mem::take(lower);
+                    let parked = DetachedFrame {
+                        stack,
+                        at: proc,
+                        reply_to,
+                    };
+                    self.detached.insert(tid, parked);
+                }
+            }
+            return Payload::RpcRequest {
+                thread: tid,
+                reply_to: proc,
+                invoke: inv,
+            };
+        }
+        // From home, the top activation (the paper's prototype) or the whole
+        // group above the thread base (§6 future work) leaves; linkage
+        // (`reply_to`) lets its eventual return short-circuit back. A
+        // migrated group re-migrates whole, passing the original linkage
+        // along and leaving nothing behind ("destroy the original thread" on
+        // this processor): a group cannot split further once detached.
+        let keep = match away {
+            Some(_) => 0,
+            None if inv.annotation == Annotation::MigrateAll => 1,
+            None => lower.len(),
+        };
+        if away.is_none() {
+            self.threads[t].status = ThreadStatus::Detached;
+        }
+        let mut frames = self.take_frame_vec();
+        frames.extend(lower.drain(keep..));
+        frames.push(frame);
+        Payload::Migration {
+            thread: tid,
+            reply_to: away.unwrap_or(proc),
+            frames,
+            invoke: inv,
         }
     }
 
@@ -2538,159 +1894,29 @@ impl System {
         task: QueuedTask,
         queue: &mut EventQueue<Event>,
     ) -> Cycles {
-        let QueuedTask { recv, work, ack } = task;
-        let mut acc = match recv {
-            RecvCharge::None => Cycles::ZERO,
-            RecvCharge::Message { words, kind, short } => self.charge_recv(words, kind, short),
-            RecvCharge::Replica => {
-                self.charge(cat::REPLICA_APPLY, self.cost.replica_apply);
-                self.cost.replica_apply
-            }
+        let QueuedTask { work, ack } = task;
+        let mut acc = match &work {
+            Work::Deliver(msg) => self.charge_delivery(proc, msg),
+            Work::DuplicateDrop { wire, .. } => self.charge_recv(*wire),
+            _ => Cycles::ZERO,
         };
-        if let Some(ticket) = ack {
+        if let Some((to, seq)) = ack {
             // Acknowledge the envelope as part of processing it, so the ack's
             // send-side charges stay inside this task's busy window.
-            self.recovery.acks_sent += 1;
-            acc += self.send_message(
-                proc,
-                ticket.to,
-                Payload::Ack { seq: ticket.seq },
-                now + acc,
-                queue,
-            );
+            self.count_recovery(|r| r.acks_sent += 1);
+            acc += self.send_message(proc, to, Payload::Ack { seq }, now + acc, queue);
         }
         match work {
-            Work::Step(tid) => self.run_thread_slice(now, proc, tid, None, acc, queue),
-            Work::Deliver {
-                thread,
-                results,
-                completes_op,
-            } => {
-                self.run_thread_slice(now, proc, thread, Some((results, completes_op)), acc, queue)
-            }
-            Work::DeliverDetached { thread, results } => self
-                .run_detached_slice(now, proc, thread, None, Some(results), acc, queue)
-                .unwrap_or_else(|(busy, error)| {
-                    self.record_runtime_error(now + busy, error);
-                    busy
-                }),
-            Work::MigrationArrive {
-                thread,
-                reply_to,
-                frames,
-                invoke,
-            } => {
-                if self.threads[thread.index()].status == ThreadStatus::Done {
-                    // The thread died with its processor while this
-                    // (rerouted) migration was in flight: reclaim the
-                    // orphaned frames instead of running a dead operation.
-                    let n = frames.len() as u64;
-                    self.recycle_frame_vec(frames);
-                    self.recovery.frames_reclaimed += n;
-                    self.record_runtime_error(
-                        now + acc,
-                        RuntimeError::FrameReclaimed {
-                            thread,
-                            at: proc,
-                            frames: n,
-                        },
-                    );
-                    return acc;
-                }
-                self.run_detached_slice(
-                    now,
-                    proc,
-                    thread,
-                    Some((reply_to, frames, invoke)),
-                    None,
-                    acc,
-                    queue,
-                )
-                .unwrap_or_else(|(busy, error)| {
-                    self.record_runtime_error(now + busy, error);
-                    busy
-                })
-            }
-            Work::ServePull {
-                thread,
-                reply_to,
-                target,
-            } => self.serve_pull(now, proc, thread, reply_to, target, acc, queue),
-            Work::InstallObject {
-                thread,
-                target,
-                behavior,
-            } => {
-                // The home pointer was flipped when the object was packed;
-                // install the state and let the thread retry its invoke,
-                // which is now local.
-                debug_assert_eq!(self.objects.home(target), proc, "object landed off-home");
-                self.charge(cat::GOID_TRANSLATION, self.cost.goid_translation);
-                let acc = acc + self.cost.goid_translation;
-                self.objects.put_behavior(target, behavior);
-                if self.threads[thread.index()].status == ThreadStatus::Done {
-                    // The puller died with its processor; the object was
-                    // rerouted here (its re-homed directory entry) so its
-                    // state survives, but there is no thread to resume.
-                    return acc;
-                }
-                self.run_thread_slice(now, proc, thread, None, acc, queue)
-            }
-            Work::ThreadArrive {
-                thread,
-                frames,
-                invoke,
-            } => {
-                // Rehome the thread (§2.3: the thread continues where the
-                // data is), run the pending invoke, deliver, continue.
-                let t = thread.index();
-                self.threads[t].home = proc;
-                let old = std::mem::replace(&mut self.threads[t].stack, frames);
-                self.recycle_frame_vec(old);
-                self.threads[t].status = ThreadStatus::Active;
-                let (lat, results) = self.invoke_inline(proc, &invoke, now + acc, queue);
-                self.run_thread_slice(
-                    now,
-                    proc,
-                    thread,
-                    Some((results.into(), false)),
-                    acc + lat,
-                    queue,
-                )
-            }
-            Work::ServeRpc {
-                thread,
-                reply_to,
-                invoke,
-            } => {
-                // General-purpose stub dispatch: thread set-up/tear-down via
-                // the scheduler plus the second argument copy (§4.3).
-                self.charge(cat::RPC_DISPATCH, self.cost.rpc_dispatch);
-                let acc = acc + self.cost.rpc_dispatch;
-                let (lat, results) = self.invoke_inline(proc, &invoke, now + acc, queue);
-                let mut total = acc + lat;
-                let payload = Payload::RpcReply {
-                    thread,
-                    results: results.into(),
-                };
-                total += self.send_message(proc, reply_to, payload, now + total, queue);
-                total
-            }
-            Work::ReplicaApply => acc,
-            Work::DuplicateDrop { seq } => {
+            Work::Step(tid) => self.resume_home(now, proc, tid, None, acc, queue),
+            Work::Deliver(msg) => self.receive(now, proc, msg.payload, acc, queue),
+            Work::DuplicateDrop { seq, .. } => {
                 self.charge(cat::RECOVERY_DEDUP, self.cost.dedup_check);
-                self.recovery.duplicates_suppressed += 1;
+                self.count_recovery(|r| r.duplicates_suppressed += 1);
                 self.record_runtime_error(
                     now + acc,
                     RuntimeError::DuplicateDelivery { seq, at: proc },
                 );
                 acc + self.cost.dedup_check
-            }
-            Work::AckApply { seq } => {
-                if self.in_flight.remove(&seq).is_some() {
-                    self.advance_watermark();
-                }
-                acc
             }
             Work::Retransmit { seq } => self.retransmit(seq, now, proc, acc, queue),
             Work::HeartbeatProbe { to } => {
@@ -2703,13 +1929,6 @@ impl System {
                 let acc = acc + self.cost.heartbeat_probe;
                 self.failover.heartbeats_sent += 1;
                 acc + self.send_message(proc, to, Payload::Heartbeat, now + acc, queue)
-            }
-            // The ack the receive path already sent *is* the liveness
-            // evidence; the probe itself carries no work.
-            Work::HeartbeatRecv => acc,
-            Work::BackupApply { .. } => {
-                self.charge(cat::REPLICATION_DELTA_APPLY, self.cost.delta_apply);
-                acc + self.cost.delta_apply
             }
             Work::Outage { duration, crash } => {
                 // The injected disruption occupies the processor for its
@@ -2725,6 +1944,194 @@ impl System {
         }
     }
 
+    /// Act on a delivered payload at `proc` (its receive path is already
+    /// charged into `acc`).
+    fn receive(
+        &mut self,
+        now: Cycles,
+        proc: ProcId,
+        payload: Payload,
+        acc: Cycles,
+        queue: &mut EventQueue<Event>,
+    ) -> Cycles {
+        match payload {
+            Payload::RpcRequest {
+                thread,
+                reply_to,
+                invoke,
+            } => {
+                // General-purpose stub dispatch: thread set-up/tear-down via
+                // the scheduler plus the second argument copy (§4.3).
+                self.charge(cat::RPC_DISPATCH, self.cost.rpc_dispatch);
+                let acc = acc + self.cost.rpc_dispatch;
+                let (lat, results) = self.invoke_inline(proc, &invoke, now + acc, queue);
+                let acc = acc + lat;
+                let payload = Payload::RpcReply {
+                    thread,
+                    results: results.into(),
+                };
+                acc + self.send_message(proc, reply_to, payload, now + acc, queue)
+            }
+            Payload::RpcReply { thread, results } => {
+                let parked_here = self.detached.get(&thread).is_some_and(|d| d.at == proc);
+                let Some(mut group) = parked_here.then(|| self.detached.remove(&thread)).flatten()
+                else {
+                    return self.resume_home(now, proc, thread, Some((results, false)), acc, queue);
+                };
+                let Some(mut frame) = group.stack.pop() else {
+                    let error = RuntimeError::UnknownDetachedGroup { thread, at: proc };
+                    self.record_runtime_error(now + acc, error);
+                    return acc;
+                };
+                frame.on_result(&results);
+                let reply_to = Some(group.reply_to);
+                self.run_slice(now, proc, thread, frame, group.stack, reply_to, acc, queue)
+            }
+            Payload::Migration {
+                thread,
+                reply_to,
+                mut frames,
+                invoke,
+            } => {
+                if self.threads[thread.index()].status == ThreadStatus::Done {
+                    // The thread died with its processor while this
+                    // (rerouted) migration was in flight: reclaim the
+                    // orphaned frames instead of running a dead operation.
+                    return self.reclaim_frames(now + acc, proc, thread, frames, acc);
+                }
+                debug_assert_eq!(
+                    self.objects.home(invoke.target),
+                    proc,
+                    "migration arrived at wrong processor"
+                );
+                let Some(mut frame) = frames.pop() else {
+                    let error = RuntimeError::EmptyMigration { thread, at: proc };
+                    self.record_runtime_error(now + acc, error);
+                    return acc;
+                };
+                // The pending invoke runs here — that is the point of the
+                // migration. User code at this hop counts toward Table 5.
+                self.migration_ctx = true;
+                let (lat, results) = self.invoke_inline(proc, &invoke, now + acc, queue);
+                self.migration_ctx = false;
+                frame.on_result(&results);
+                let away = Some(reply_to);
+                self.run_slice(now, proc, thread, frame, frames, away, acc + lat, queue)
+            }
+            Payload::ObjectPull {
+                thread,
+                reply_to,
+                target,
+            } => self.serve_pull(now, proc, thread, reply_to, target, acc, queue),
+            Payload::ObjectMove {
+                thread,
+                target,
+                behavior,
+            } => {
+                // The home pointer was flipped when the object was packed;
+                // install the state and let the thread retry its invoke,
+                // which is now local. (If the puller died with its
+                // processor, the object was rerouted here, its re-homed
+                // directory entry, so its state survives without a thread to
+                // resume.)
+                debug_assert_eq!(self.objects.home(target), proc, "object landed off-home");
+                self.charge(cat::GOID_TRANSLATION, self.cost.goid_translation);
+                self.objects.put_behavior(target, behavior);
+                let acc = acc + self.cost.goid_translation;
+                self.resume_home(now, proc, thread, None, acc, queue)
+            }
+            Payload::ThreadMove {
+                thread,
+                frames,
+                invoke,
+            } => {
+                // Rehome the thread (§2.3: the thread continues where the
+                // data is), run the pending invoke, deliver, continue.
+                let t = thread.index();
+                self.threads[t].home = proc;
+                let old = std::mem::replace(&mut self.threads[t].stack, frames);
+                self.recycle_frame_vec(old);
+                self.threads[t].status = ThreadStatus::Active;
+                let (lat, results) = self.invoke_inline(proc, &invoke, now + acc, queue);
+                let deliver = Some((results.into(), false));
+                self.resume_home(now, proc, thread, deliver, acc + lat, queue)
+            }
+            Payload::OperationReturn {
+                thread,
+                completes_op,
+                results,
+            } => self.resume_home(now, proc, thread, Some((results, completes_op)), acc, queue),
+            Payload::Ack { seq } => {
+                self.retire(seq);
+                acc
+            }
+            // The ack the receive path already sent *is* the liveness
+            // evidence; the probe itself carries no work.
+            Payload::Heartbeat | Payload::ReplicaUpdate { .. } => acc,
+            Payload::BackupDelta { .. } => {
+                self.charge(cat::REPLICATION_DELTA_APPLY, self.cost.delta_apply);
+                acc + self.cost.delta_apply
+            }
+        }
+    }
+
+    /// Reclaim the activation frames of terminated thread `thread` at
+    /// `proc`, recording the reclamation at `at`; returns `acc`.
+    fn reclaim_frames(
+        &mut self,
+        at: Cycles,
+        proc: ProcId,
+        thread: ThreadId,
+        frames: Vec<Box<dyn Frame>>,
+        acc: Cycles,
+    ) -> Cycles {
+        let n = frames.len() as u64;
+        self.recycle_frame_vec(frames);
+        self.count_recovery(|r| r.frames_reclaimed += n);
+        let error = RuntimeError::FrameReclaimed {
+            thread,
+            at: proc,
+            frames: n,
+        };
+        self.record_runtime_error(at, error);
+        acc
+    }
+
+    /// Take envelope `seq` out of the retransmission buffer (see
+    /// [`Transport::retire`]).
+    fn retire(&mut self, seq: u64) -> Option<InFlight> {
+        self.transport.as_mut().and_then(|t| t.retire(seq))
+    }
+
+    /// Count recovery-protocol activity (collected only under fault
+    /// injection).
+    fn count_recovery(&mut self, count: impl FnOnce(&mut RecoveryStats)) {
+        if let Some(t) = &mut self.transport {
+            count(&mut t.stats);
+        }
+    }
+
+    /// Put one copy of buffered envelope `env` (send attempt `attempt`) on
+    /// the wire at `launch_time`, booking an injected duplicate's wire
+    /// traffic and transit time.
+    fn launch_envelope(
+        &mut self,
+        env: Envelope,
+        attempt: u32,
+        launch_time: Cycles,
+        latency: Cycles,
+        queue: &mut EventQueue<Event>,
+    ) {
+        let Some(t) = &mut self.transport else {
+            return;
+        };
+        if let Some(at) = t.launch_envelope(env, attempt, launch_time, latency, queue) {
+            if let Ok(latency) = self.net.send_at(at, env.src, env.dst, env.wire.words) {
+                self.charge(cat::NETWORK_TRANSIT, latency);
+            }
+        }
+    }
+
     /// Handle a fired retransmission timer for envelope `seq`: either resend
     /// it (with backoff) or — for a migration out of attempts — degrade to a
     /// plain RPC at the same call site.
@@ -2736,56 +2143,55 @@ impl System {
         acc: Cycles,
         queue: &mut EventQueue<Event>,
     ) -> Cycles {
-        let Some(entry) = self.in_flight.get(&seq) else {
+        let Some(entry) = self.transport.as_ref().and_then(|t| t.in_flight.get(&seq)) else {
             return acc; // acked between timer fire and task execution
         };
-        let (src, dst, kind, words, attempt) =
-            (entry.src, entry.dst, entry.kind, entry.words, entry.attempt);
-        debug_assert_eq!(src, proc, "retransmit task ran off the sender");
+        let (env, attempt) = (entry.env, entry.attempt);
+        debug_assert_eq!(env.src, proc, "retransmit task ran off the sender");
         self.charge(cat::RECOVERY_TIMEOUT, self.cost.timeout_handler);
         let acc = acc + self.cost.timeout_handler;
-        if self.cfg.failover.enabled && self.declared_dead[dst.index()] {
+        let failover = &self.cfg.failover;
+        if failover.enabled && self.declared_dead[env.dst.index()] {
             // The destination was declared dead (by this processor or any
             // other): redirect the buffered payload instead of resending
             // into the void.
-            return self.reroute(seq, now, proc, acc, queue);
+            return self.reroute(env, now, proc, acc, queue);
         }
-        if self.cfg.failover.enabled
-            && kind == MessageKind::Heartbeat
-            && attempt >= self.cfg.failover.max_heartbeat_attempts
+        if failover.enabled
+            && env.wire.kind == MessageKind::Heartbeat
+            && attempt >= failover.max_heartbeat_attempts
         {
             // Suspicion: the probe's retry budget is exhausted with no ack —
             // the ring predecessor declares the destination dead.
-            self.in_flight.remove(&seq);
-            self.advance_watermark();
-            return self.declare_dead(dst, now, proc, acc, queue);
+            self.retire(seq);
+            return self.declare_dead(env.dst, now, proc, acc);
         }
-        if kind == MessageKind::Migration && attempt >= self.cfg.recovery.max_migration_attempts {
+        if env.wire.kind == MessageKind::Migration
+            && attempt >= self.cfg.recovery.max_migration_attempts
+        {
             return self.fallback_to_rpc(seq, now, proc, acc, queue);
         }
-        self.in_flight
-            .get_mut(&seq)
-            .expect("entry checked above")
-            .attempt = attempt + 1;
-        self.recovery.retries += 1;
-        let (overhead, latency) = self.charge_send(src, dst, kind, words, now + acc);
+        if let Some(t) = &mut self.transport {
+            t.count_retry(seq);
+        }
+        let (overhead, latency) = self.charge_send(env.src, env.dst, env.wire, now + acc);
         let acc = acc + overhead;
         let Some(latency) = latency else {
             return acc; // route rejected (recorded); the timer re-arms below anyway
         };
-        *self.msg_counts.entry(kind).or_insert(0) += 1;
         self.tracer.emit_with(|| TraceEvent {
             at: now + acc,
             source: "runtime",
             kind: "retry",
             proc: Some(proc),
             detail: format!(
-                "seq={seq} attempt={} kind={kind:?} dst={}",
+                "seq={seq} attempt={} kind={:?} dst={}",
                 attempt + 1,
-                dst.index()
+                env.wire.kind,
+                env.dst.index()
             ),
         });
-        self.launch_envelope(seq, now + acc, latency, queue);
+        self.launch_envelope(env, attempt + 1, now + acc, latency, queue);
         acc
     }
 
@@ -2801,28 +2207,21 @@ impl System {
         acc: Cycles,
         queue: &mut EventQueue<Event>,
     ) -> Cycles {
-        let entry = self
-            .in_flight
-            .remove(&seq)
-            .expect("fallback on unknown envelope");
-        // The envelope is retired: any straggler copy still in flight must
-        // be treated as a duplicate, not re-executed. (If the watermark
-        // passes `seq` right away the tombstone is pruned again — copies
-        // below the watermark are duplicates by definition.)
-        self.delivered_seqs.insert(seq);
-        self.advance_watermark();
+        // Retiring the envelope makes any straggler copy still in flight a
+        // duplicate, never a second execution.
+        let entry = self.retire(seq);
         let Some(Payload::Migration {
             thread,
             reply_to,
-            frames,
+            mut frames,
             invoke,
-        }) = entry.payload
+        }) = entry.and_then(|e| e.payload)
         else {
             return acc; // tombstone — a copy was delivered after all
         };
         self.charge(cat::RECOVERY_RECLAIM, self.cost.frame_reclaim);
         let acc = acc + self.cost.frame_reclaim;
-        self.recovery.fallbacks += 1;
+        self.count_recovery(|r| r.fallbacks += 1);
         self.record_runtime_error(
             now + acc,
             RuntimeError::MigrationTimeout { thread, at: proc },
@@ -2830,237 +2229,34 @@ impl System {
         let t = thread.index();
         if self.threads[t].status == ThreadStatus::Done {
             // The thread died while its frames were marooned in the
-            // retransmission buffer: reclaim them, nothing to re-issue.
-            let n = frames.len() as u64;
-            self.recycle_frame_vec(frames);
-            self.recovery.frames_reclaimed += n;
-            self.record_runtime_error(
-                now + acc,
-                RuntimeError::FrameReclaimed {
-                    thread,
-                    at: proc,
-                    frames: n,
-                },
-            );
-            return acc;
+            // retransmission buffer: nothing to re-issue.
+            return self.reclaim_frames(now + acc, proc, thread, frames, acc);
         }
         let site = frames.last().expect("migration carries frames").label();
         self.record_dispatch(now + acc, proc, site, DispatchKind::RpcFallback);
         let home = self.objects.home(invoke.target);
-        let mut acc = acc;
         if reply_to == proc {
             // First migration, leaving the thread's home: put the frames
             // back on the home stack and wait for an RPC reply instead.
-            let mut frames = frames;
             self.threads[t].stack.append(&mut frames);
             self.recycle_frame_vec(frames);
             self.threads[t].status = ThreadStatus::WaitingReply;
-            acc += self.send_message(
-                proc,
-                home,
-                Payload::RpcRequest {
-                    thread,
-                    reply_to: proc,
-                    invoke,
-                },
-                now + acc,
-                queue,
-            );
         } else {
             // Re-migration of an already-detached group: park the group
             // here and route the reply back through the detached path.
-            self.detached.insert(
-                thread,
-                DetachedFrame {
-                    stack: frames,
-                    at: proc,
-                    reply_to,
-                },
-            );
-            acc += self.send_message(
-                proc,
-                home,
-                Payload::RpcRequest {
-                    thread,
-                    reply_to: proc,
-                    invoke,
-                },
-                now + acc,
-                queue,
-            );
+            let parked = DetachedFrame {
+                stack: frames,
+                at: proc,
+                reply_to,
+            };
+            self.detached.insert(thread, parked);
         }
-        acc
-    }
-
-    /// Build the receive-side task for a delivered payload. Shared between
-    /// the fault-free [`Event::Arrive`] path and the reliable-envelope
-    /// delivery path, so both charge identical receive costs.
-    fn task_for_payload(&self, dest: ProcId, src: ProcId, payload: Payload) -> QueuedTask {
-        match payload {
-            Payload::RpcRequest {
-                thread,
-                reply_to,
-                invoke,
-            } => QueuedTask::new(
-                RecvCharge::Message {
-                    words: 2 + invoke.request_words() + self.cost.rpc_stub_words,
-                    kind: MessageKind::RpcRequest,
-                    short: invoke.short_method,
-                },
-                Work::ServeRpc {
-                    thread,
-                    reply_to,
-                    invoke,
-                },
-            ),
-            Payload::RpcReply { thread, results } => {
-                let words = 1 + results.len() as u64 + self.cost.rpc_stub_words;
-                let detached_here = self
-                    .detached
-                    .get(&thread)
-                    .map(|d| d.at == dest)
-                    .unwrap_or(false);
-                QueuedTask::new(
-                    RecvCharge::Message {
-                        words,
-                        kind: MessageKind::RpcReply,
-                        short: true,
-                    },
-                    if detached_here {
-                        Work::DeliverDetached { thread, results }
-                    } else {
-                        Work::Deliver {
-                            thread,
-                            results,
-                            completes_op: false,
-                        }
-                    },
-                )
-            }
-            Payload::Migration {
-                thread,
-                reply_to,
-                frames,
-                invoke,
-            } => QueuedTask::new(
-                RecvCharge::Message {
-                    words: 2 + crate::message::frames_words(&frames) + invoke.request_words(),
-                    kind: MessageKind::Migration,
-                    short: false,
-                },
-                Work::MigrationArrive {
-                    thread,
-                    reply_to,
-                    frames,
-                    invoke,
-                },
-            ),
-            Payload::ObjectPull {
-                thread,
-                reply_to,
-                target,
-            } => QueuedTask::new(
-                // A self-addressed pull is a local retry (the object
-                // was in flight): no receive path to pay.
-                if src == dest {
-                    RecvCharge::None
-                } else {
-                    RecvCharge::Message {
-                        words: 3,
-                        kind: MessageKind::ObjectPull,
-                        short: true,
-                    }
-                },
-                Work::ServePull {
-                    thread,
-                    reply_to,
-                    target,
-                },
-            ),
-            Payload::ObjectMove {
-                thread,
-                target,
-                behavior,
-            } => QueuedTask::new(
-                RecvCharge::Message {
-                    words: 1 + behavior.size_bytes().div_ceil(8),
-                    kind: MessageKind::ObjectMove,
-                    short: true,
-                },
-                Work::InstallObject {
-                    thread,
-                    target,
-                    behavior,
-                },
-            ),
-            Payload::ThreadMove {
-                thread,
-                frames,
-                invoke,
-            } => QueuedTask::new(
-                RecvCharge::Message {
-                    words: 16 + crate::message::frames_words(&frames) + invoke.request_words(),
-                    kind: MessageKind::ThreadMove,
-                    short: false,
-                },
-                Work::ThreadArrive {
-                    thread,
-                    frames,
-                    invoke,
-                },
-            ),
-            Payload::OperationReturn {
-                thread,
-                completes_op,
-                results,
-            } => QueuedTask::new(
-                RecvCharge::Message {
-                    words: 1 + results.len() as u64,
-                    kind: MessageKind::OperationReturn,
-                    short: true,
-                },
-                Work::Deliver {
-                    thread,
-                    results,
-                    completes_op,
-                },
-            ),
-            Payload::ReplicaUpdate { .. } => {
-                QueuedTask::new(RecvCharge::Replica, Work::ReplicaApply)
-            }
-            Payload::Ack { seq } => QueuedTask::new(
-                RecvCharge::Message {
-                    words: 1,
-                    kind: MessageKind::Ack,
-                    short: true,
-                },
-                Work::AckApply { seq },
-            ),
-            Payload::Heartbeat => QueuedTask::new(
-                RecvCharge::Message {
-                    words: 1,
-                    kind: MessageKind::Heartbeat,
-                    short: true,
-                },
-                Work::HeartbeatRecv,
-            ),
-            Payload::BackupDelta {
-                target,
-                delta_seq,
-                words,
-            } => QueuedTask::new(
-                RecvCharge::Message {
-                    words: 2 + words,
-                    kind: MessageKind::BackupDelta,
-                    short: true,
-                },
-                Work::BackupApply {
-                    target,
-                    delta_seq,
-                    words,
-                },
-            ),
-        }
+        let payload = Payload::RpcRequest {
+            thread,
+            reply_to: proc,
+            invoke,
+        };
+        acc + self.send_message(proc, home, payload, now + acc, queue)
     }
 
     fn ensure_poll(&mut self, proc: ProcId, now: Cycles, queue: &mut EventQueue<Event>) {
@@ -3079,7 +2275,7 @@ impl Simulation for System {
     fn event_label(event: &Event) -> &'static str {
         match event {
             Event::Arrive(..) => "arrive",
-            Event::ArriveSeq { .. } => "arrive_seq",
+            Event::ArriveSeq(_) => "arrive_seq",
             Event::Poll(_) => "poll",
             Event::Wake(_) => "wake",
             Event::Timeout(_) => "timeout",
@@ -3092,15 +2288,16 @@ impl Simulation for System {
     fn handle(&mut self, now: Cycles, event: Event, queue: &mut EventQueue<Event>) {
         match event {
             Event::Arrive(dest, msg) => {
-                if self.faults.is_some()
-                    && msg.src != dest
-                    && now < self.crashed_until[dest.index()]
-                {
-                    // The destination is mid crash-restart: fire-and-forget
-                    // traffic (acks) arriving now is simply lost. Envelope
-                    // traffic never takes this path, and self-addressed
-                    // retries are local, not wire traffic.
-                    self.recovery.messages_lost += 1;
+                // Fire-and-forget traffic (acks) arriving while the
+                // destination is mid crash-restart is simply lost. Envelope
+                // traffic never takes this path, and self-addressed retries
+                // are local, not wire traffic.
+                let lost = msg.src != dest
+                    && self
+                        .transport
+                        .as_mut()
+                        .is_some_and(|t| t.lost_at(dest, now));
+                if lost {
                     self.tracer.emit_with(|| TraceEvent {
                         at: now,
                         source: "runtime",
@@ -3110,73 +2307,56 @@ impl Simulation for System {
                     });
                     return;
                 }
-                let task = self.task_for_payload(dest, msg.src, msg.payload);
-                self.procs[dest.index()].enqueue(task);
+                self.procs[dest.index()].enqueue(Work::Deliver(msg).into());
                 self.ensure_poll(dest, now, queue);
             }
-            Event::ArriveSeq {
-                dst,
-                src,
-                seq,
-                words,
-                kind,
-                short,
-            } => {
-                if now < self.crashed_until[dst.index()] {
-                    // Crash-restart swallowed this copy; the sender's
-                    // timeout will retransmit it.
-                    self.recovery.messages_lost += 1;
-                    self.tracer.emit_with(|| TraceEvent {
-                        at: now,
-                        source: "runtime",
-                        kind: "lost",
-                        proc: Some(dst),
-                        detail: format!("seq={seq} (destination crashed)"),
-                    });
+            Event::ArriveSeq(env) => {
+                let Some(t) = &mut self.transport else {
                     return;
-                }
-                let ticket = AckTicket { to: src, seq };
-                let mut task = if seq < self.acked_below || self.delivered_seqs.contains(&seq) {
-                    // Already processed (an injected duplicate, or a
-                    // retransmission racing its own ack): suppress, but
-                    // still charge the receive path and re-ack.
-                    QueuedTask::new(
-                        RecvCharge::Message { words, kind, short },
-                        Work::DuplicateDrop { seq },
-                    )
-                } else {
-                    match self.in_flight.get_mut(&seq).and_then(|e| e.payload.take()) {
-                        Some(payload) => {
-                            self.delivered_seqs.insert(seq);
-                            self.task_for_payload(dst, src, payload)
-                        }
-                        // Tombstoned entry (fallback already consumed the
-                        // payload) — treat like a duplicate.
-                        None => QueuedTask::new(
-                            RecvCharge::Message { words, kind, short },
-                            Work::DuplicateDrop { seq },
-                        ),
-                    }
                 };
-                task.ack = Some(ticket);
-                self.procs[dst.index()].enqueue(task);
-                self.ensure_poll(dst, now, queue);
+                let work = match t.accept(env, now) {
+                    Arrival::Lost => {
+                        // Crash-restart swallowed this copy; the sender's
+                        // timeout will retransmit it.
+                        self.tracer.emit_with(|| TraceEvent {
+                            at: now,
+                            source: "runtime",
+                            kind: "lost",
+                            proc: Some(env.dst),
+                            detail: format!("seq={} (destination crashed)", env.seq),
+                        });
+                        return;
+                    }
+                    Arrival::Duplicate => Work::DuplicateDrop {
+                        seq: env.seq,
+                        wire: env.wire,
+                    },
+                    Arrival::Fresh(payload) => Work::Deliver(Message {
+                        src: env.src,
+                        payload,
+                    }),
+                };
+                let ack = Some((env.src, env.seq));
+                self.procs[env.dst.index()].enqueue(QueuedTask { work, ack });
+                self.ensure_poll(env.dst, now, queue);
             }
             Event::Timeout(seq) => {
-                let Some(entry) = self.in_flight.get(&seq) else {
+                let Some(src) = self
+                    .transport
+                    .as_ref()
+                    .and_then(|t| t.in_flight.get(&seq))
+                    .map(|e| e.env.src)
+                else {
                     return; // acked meanwhile — stale timer
                 };
-                let src = entry.src;
                 if self.failed[src.index()] {
                     // The sender died: nobody is left to retransmit, and no
                     // ack will ever release the buffer. Retire the envelope
                     // so the dedup watermark can advance past it.
-                    self.in_flight.remove(&seq);
-                    self.advance_watermark();
+                    self.retire(seq);
                     return;
                 }
-                self.procs[src.index()]
-                    .enqueue(QueuedTask::new(RecvCharge::None, Work::Retransmit { seq }));
+                self.procs[src.index()].enqueue(Work::Retransmit { seq }.into());
                 self.ensure_poll(src, now, queue);
             }
             Event::Disrupt {
@@ -3184,17 +2364,13 @@ impl Simulation for System {
                 duration,
                 crash,
             } => {
-                if crash {
-                    let until = (now + duration).max(self.crashed_until[proc.index()]);
-                    self.crashed_until[proc.index()] = until;
+                if let (true, Some(t)) = (crash, &mut self.transport) {
+                    t.crash(proc, now + duration);
                 }
-                self.procs[proc.index()].enqueue(QueuedTask::new(
-                    RecvCharge::None,
-                    Work::Outage { duration, crash },
-                ));
+                self.procs[proc.index()].enqueue(Work::Outage { duration, crash }.into());
                 self.ensure_poll(proc, now, queue);
             }
-            Event::Kill(victim) => self.kill_processor(now, victim, queue),
+            Event::Kill(victim) => self.kill_processor(now, victim),
             Event::HeartbeatTick => {
                 // Ring detector: every live processor probes its successor
                 // (skipping the declared dead, so a dead node's predecessor
@@ -3211,12 +2387,8 @@ impl Simulation for System {
                     if to == p {
                         continue;
                     }
-                    self.procs[p].enqueue(QueuedTask::new(
-                        RecvCharge::None,
-                        Work::HeartbeatProbe {
-                            to: ProcId(to as u32),
-                        },
-                    ));
+                    let to = ProcId(to as u32);
+                    self.procs[p].enqueue(Work::HeartbeatProbe { to }.into());
                     self.ensure_poll(ProcId(p as u32), now, queue);
                 }
                 queue.schedule_at(
@@ -3232,8 +2404,7 @@ impl Simulation for System {
                 }
                 let home = self.threads[tid.index()].home;
                 self.threads[tid.index()].status = ThreadStatus::Active;
-                self.procs[home.index()]
-                    .enqueue(QueuedTask::new(RecvCharge::None, Work::Step(tid)));
+                self.procs[home.index()].enqueue(Work::Step(tid).into());
                 self.ensure_poll(home, now, queue);
             }
             Event::Poll(proc) => {
@@ -4609,6 +3780,103 @@ mod tests {
                 .unwrap()
                 .value,
             1
+        );
+    }
+
+    /// The acknowledged deliveries waiting in `proc`'s queue: how many are
+    /// calls, and the envelope numbers of the replica updates. Peeks by
+    /// draining and re-enqueueing in order.
+    fn queued_deliveries(system: &mut System, proc: ProcId) -> (usize, Vec<u64>) {
+        let tasks = system.procs[proc.index()].drain();
+        let (mut calls, mut updates) = (0, Vec::new());
+        for task in &tasks {
+            if let (Work::Deliver(msg), Some((_, seq))) = (&task.work, task.ack) {
+                match msg.payload {
+                    Payload::RpcRequest { .. } => calls += 1,
+                    Payload::ReplicaUpdate { .. } => updates.push(seq),
+                    _ => {}
+                }
+            }
+        }
+        for task in tasks {
+            system.procs[proc.index()].enqueue(task);
+        }
+        (calls, updates)
+    }
+
+    #[test]
+    fn kill_restores_queued_calls_and_retires_replica_updates() {
+        // P0 runs the threads; B lives at the victim P1, replicated A at P2
+        // with its software replica at P1. Killing P1 while its queue holds
+        // an acknowledged call to B and a replica update for A must put the
+        // call back in its sender's buffer — rerouted to B's promoted backup
+        // once P1 is declared dead, and executed exactly once — while the
+        // replica update is retired without an unroutable-to-dead error.
+        let (threads, ops) = (6u32, 20u64);
+        let victim = ProcId(1);
+        let build = || {
+            let mut cfg = MachineConfig::new(4, Scheme::rpc().with_replication());
+            cfg.faults = Some(FaultPlan::disabled());
+            cfg.failover.enabled = true;
+            cfg.replica_procs = vec![victim];
+            let mut runner = Runner::new(cfg);
+            let cell = || {
+                Box::new(Cell {
+                    value: 0,
+                    compute: 100,
+                })
+            };
+            let b = runner.system.create_object(cell(), victim, false);
+            let a = runner.system.create_object(cell(), ProcId(2), true);
+            for _ in 0..threads {
+                let driver = TestDriver {
+                    targets: vec![b, a],
+                    annotation: Annotation::Rpc,
+                    repeats: 1,
+                    think: Cycles::ZERO,
+                    ops_remaining: ops as u32,
+                    thinking: false,
+                };
+                runner.spawn(ProcId(0), Box::new(driver));
+            }
+            (runner, [b, a])
+        };
+        let (kill_at, updates) = (1..400u64)
+            .find_map(|i| {
+                let at = Cycles(i * 250);
+                let (mut runner, _) = build();
+                runner.run_until(at);
+                let (calls, updates) = queued_deliveries(&mut runner.system, victim);
+                (calls > 0 && !updates.is_empty()).then_some((at, updates))
+            })
+            .expect("some kill time finds a queued call and a queued replica update");
+        let (mut runner, [b, a]) = build();
+        runner.run_until(kill_at);
+        runner.system.kill_processor(kill_at, victim);
+        runner.run_until(Cycles(50_000_000));
+        assert!(runner.system.is_declared_dead(victim));
+        let f = runner.system.failover_stats();
+        assert!(f.rerouted_calls > 0, "{f:?}");
+        assert_eq!(f.threads_lost, 0, "{f:?}");
+        let total = u64::from(threads) * ops;
+        assert_eq!(runner.system.ops_completed(), total);
+        let value = |g: Goid| runner.system.objects().state::<Cell>(g).unwrap().value;
+        assert_eq!(value(b), total, "every call to B ran exactly once");
+        assert_eq!(value(a), total, "every call to A ran exactly once");
+        // Updates broadcast to the dead replica after the kill are
+        // unroutable; the ones that died in its queue were delivered once.
+        let unroutable: Vec<u64> = runner
+            .system
+            .runtime_errors()
+            .iter()
+            .filter_map(|e| match e {
+                RuntimeError::UnroutableToDead { seq, .. } => Some(*seq),
+                _ => None,
+            })
+            .collect();
+        assert!(
+            updates.iter().all(|seq| !unroutable.contains(seq)),
+            "queued updates {updates:?} were restored: {unroutable:?}"
         );
     }
 }

@@ -384,3 +384,34 @@ fn fault_sweep_json_is_deterministic() {
         other => panic!("expected array, got {other:?}"),
     }
 }
+
+#[test]
+fn runtime_error_count_covers_every_error() {
+    // The runtime stores only the first 1,024 error values, but the metrics
+    // must count every error: a long chaos run suppresses more duplicates
+    // than that, and each suppression is a recorded error.
+    let exp = CountingExperiment {
+        faults: Some(FaultPlan::chaos(0)),
+        seed: 0xC0DE,
+        ..CountingExperiment::paper(16, 0, Scheme::computation_migration())
+    };
+    let (mut runner, _spec) = exp.build();
+    let m = runner.run(Cycles::ZERO, Cycles(4_000_000));
+    let recovery = m
+        .recovery
+        .clone()
+        .expect("faulted run carries recovery stats");
+    assert!(
+        recovery.duplicates_suppressed > 1024,
+        "run too short to pass the stored-error bound: {recovery:?}"
+    );
+    assert!(
+        m.runtime_errors >= recovery.duplicates_suppressed,
+        "runtime_errors {} < duplicates_suppressed {}",
+        m.runtime_errors,
+        recovery.duplicates_suppressed
+    );
+    let by_code: u64 = m.runtime_error_codes.iter().map(|(_, n)| n).sum();
+    assert_eq!(by_code, m.runtime_errors, "{:?}", m.runtime_error_codes);
+    assert_eq!(runner.system.runtime_errors().len(), 1024);
+}
