@@ -2544,6 +2544,12 @@ impl MethodEnv for SmEnv<'_> {
         self.mem(offset, len, Access::Write);
     }
     fn lock(&mut self) {
+        let &CoherenceCosts {
+            spin_interval,
+            max_spin_reads,
+            contended_lock_penalty,
+            ..
+        } = self.coherence.costs();
         let t_now = self.logical_start + self.elapsed;
         let free_at = self.objects.entry(self.goid).lock_free_at;
         let stalled_here = free_at > t_now;
@@ -2557,11 +2563,9 @@ impl MethodEnv for SmEnv<'_> {
             // miss. This is the coherence activity that throttles
             // write-shared objects in the paper's SM runs. The probes'
             // latency is subsumed by the stall itself.
-            let costs = self.coherence.costs().clone();
-            let n = ((stall.get() / costs.spin_interval.get().max(1)) + 1)
-                .min(u64::from(costs.max_spin_reads));
+            let n = ((stall.get() / spin_interval.get().max(1)) + 1).min(u64::from(max_spin_reads));
             for i in 0..n {
-                let at = t_now + costs.spin_interval * i;
+                let at = t_now + spin_interval * i;
                 let _ = self
                     .coherence
                     .access(self.proc, self.base, Access::Write, self.net, at);
@@ -2571,14 +2575,12 @@ impl MethodEnv for SmEnv<'_> {
         }
         // Winning test-and-set on the lock word (first word of the object):
         // a real coherence write, queued behind any spin-read burst.
-        let was_stalled = stalled_here;
         self.mem(0, 8, Access::Write);
-        if was_stalled {
+        if stalled_here {
             // Spinner interference on the critical section (see
             // CoherenceCosts::contended_lock_penalty).
-            let penalty = self.coherence.costs().contended_lock_penalty;
-            self.elapsed += penalty;
-            self.lock_stall += penalty;
+            self.elapsed += contended_lock_penalty;
+            self.lock_stall += contended_lock_penalty;
         }
         // Reserve the window; unlock() extends it to the true release time.
         self.objects.entry_mut(self.goid).lock_free_at = self.logical_start + self.elapsed;

@@ -11,10 +11,8 @@
 //! Addresses are global: the home processor is encoded in the high 32 bits
 //! (see [`make_addr`]), so any component can locate a line's directory
 //! without a translation table — the paper's machines likewise derived home
-//! nodes from physical addresses.
-
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+//! nodes from physical addresses, and kept each node's directory beside its
+//! memory, indexed by line address.
 
 use crate::cache::{Cache, CacheConfig, LineState};
 use crate::ids::ProcId;
@@ -37,44 +35,14 @@ pub fn home_of_addr(addr: u64) -> ProcId {
     ProcId((addr >> 32) as u32)
 }
 
+const OUTSIDE_MACHINE: &str = "coherence protocol addressed a processor outside the machine";
+
 /// Protocol-internal transfer. The directory only ever names processors of
 /// this machine, so a rejected route here is a model bug worth stopping on.
 #[inline]
 fn xfer(net: &mut Network, src: ProcId, dst: ProcId, payload_words: u64) -> Cycles {
-    net.send(src, dst, payload_words)
-        .expect("coherence protocol addressed a processor outside the machine")
+    net.send(src, dst, payload_words).expect(OUTSIDE_MACHINE)
 }
-
-/// Deterministic one-multiply hasher for line-address keys.
-///
-/// The directory and line-occupancy maps are probed several times per miss,
-/// and the std `HashMap`'s SipHash is the single largest cost of the
-/// shared-memory miss path. Line numbers are small sequential integers, so a
-/// Fibonacci multiply with an xor-fold spreads them well at a fraction of
-/// the cost — and the fixed (seedless) state keeps runs reproducible.
-#[derive(Default)]
-struct LineHasher(u64);
-
-impl Hasher for LineHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        let h = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 29);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type LineMap<V> = HashMap<u64, V, BuildHasherDefault<LineHasher>>;
 
 /// The processors sharing a line, as a bitmask. The paper's machines top out
 /// at 88 processors, so 128 bits cover every configuration this simulator
@@ -213,6 +181,10 @@ pub struct ProtocolStats {
 struct DirEntry {
     owner: Option<ProcId>,
     sharers: SharerSet,
+    /// Line occupancy: a line in the middle of a protocol transaction
+    /// cannot serve the next request before this time — this is what
+    /// serializes bursts on hot (write-shared) lines.
+    busy_until: Cycles,
 }
 
 /// Outcome of one shared-memory access.
@@ -226,16 +198,21 @@ pub struct AccessOutcome {
 
 /// The machine-wide coherence fabric: one cache per processor plus the
 /// distributed full-map directory.
+///
+/// The directory is memory-side and dense: each home node holds one entry
+/// per line of its memory, indexed by the line's offset within that memory
+/// and grown the first time a miss lands past its end (a machine that never
+/// misses allocates no directory at all). Its size therefore follows the
+/// highest offset missed at each home, so node memory must be handed out
+/// densely from offset 0 — as the runtime's object table does,
+/// bump-allocating each node's objects line by line.
 #[derive(Clone, Debug)]
 pub struct CoherenceSystem {
     caches: Vec<Cache>,
-    directory: LineMap<DirEntry>,
-    /// Per-line occupancy: a line in the middle of a protocol transaction
-    /// cannot serve the next request — this is what serializes bursts on
-    /// hot (write-shared) lines. One entry per distinct line ever missed;
-    /// bounded by the machine's allocated object memory, so it is left to
-    /// grow rather than swept.
-    busy_until: LineMap<Cycles>,
+    /// `directory[home][i]` is the entry of the line at byte offset
+    /// `i << line_shift` of `home`'s memory; homes past the end have had no
+    /// miss yet.
+    directory: Vec<Vec<DirEntry>>,
     costs: CoherenceCosts,
     /// `line_bytes.trailing_zeros()`: line math is a shift, not a division.
     line_shift: u32,
@@ -260,8 +237,7 @@ impl CoherenceSystem {
         let words_per_line = cache.words_per_line();
         CoherenceSystem {
             caches: (0..processors).map(|_| Cache::new(cache.clone())).collect(),
-            directory: LineMap::default(),
-            busy_until: LineMap::default(),
+            directory: Vec::new(),
             costs,
             line_shift: line_bytes.trailing_zeros(),
             words_per_line,
@@ -287,6 +263,23 @@ impl CoherenceSystem {
     #[inline]
     pub fn home_of_line(&self, line: u64) -> ProcId {
         home_of_addr(line << self.line_shift)
+    }
+
+    /// The directory entry of `line`, at its home node.
+    #[inline]
+    fn dir(&mut self, line: u64) -> &mut DirEntry {
+        let addr = line << self.line_shift;
+        let home = home_of_addr(addr).index();
+        if home >= self.directory.len() {
+            assert!(home < self.caches.len(), "{OUTSIDE_MACHINE}");
+            self.directory.resize_with(home + 1, Vec::new);
+        }
+        let entries = &mut self.directory[home];
+        let i = ((addr & 0xFFFF_FFFF) >> self.line_shift) as usize;
+        if i >= entries.len() {
+            entries.resize_with(i + 1, DirEntry::default);
+        }
+        &mut entries[i]
     }
 
     /// Perform one access by `proc` to global byte address `addr`, issued at
@@ -324,10 +317,10 @@ impl CoherenceSystem {
             return out;
         }
         // Occupancy: queue behind the previous transaction on this line.
-        let free = self.busy_until.get(&line).copied().unwrap_or(Cycles::ZERO);
-        let start = at.max(free);
+        let entry = self.dir(line);
+        let start = at.max(entry.busy_until);
+        entry.busy_until = start + out.latency;
         let wait = start - at;
-        self.busy_until.insert(line, start + out.latency);
         self.tracer.emit_with(|| TraceEvent {
             at,
             source: "coherence",
@@ -380,33 +373,26 @@ impl CoherenceSystem {
         }
         self.stats.read_misses += 1;
         let home = self.home_of_line(line);
-        let entry = self.directory.entry(line).or_default();
-        let owner = entry.owner;
+        let owner = self.dir(line).owner;
         // Request to home directory (1 word: address).
         let mut latency = xfer(net, proc, home, 1) + self.costs.directory;
-        match owner {
-            Some(o) if o != proc => {
-                // Intervention: home forwards to owner; owner downgrades,
-                // sends data to requester and a sharing writeback home.
-                self.stats.owner_forwards += 1;
-                latency += xfer(net, home, o, 1) + self.costs.cache_op;
-                latency += xfer(net, o, proc, self.words_per_line);
-                xfer(net, o, home, self.words_per_line); // writeback, off critical path
-                self.caches[o.index()].set_state(line, LineState::Shared);
-                let entry = self.directory.get_mut(&line).expect("entry exists");
-                entry.owner = None;
-                entry.sharers.insert(o);
-                entry.sharers.insert(proc);
-            }
-            _ => {
-                // Clean at home (or we were the stale "owner" after eviction):
-                // memory supplies the line.
-                latency += self.costs.memory + xfer(net, home, proc, self.words_per_line);
-                let entry = self.directory.get_mut(&line).expect("entry exists");
-                entry.owner = None;
-                entry.sharers.insert(proc);
-            }
+        if let Some(o) = owner.filter(|&o| o != proc) {
+            // Intervention: home forwards to owner; owner downgrades,
+            // sends data to requester and a sharing writeback home.
+            self.stats.owner_forwards += 1;
+            latency += xfer(net, home, o, 1) + self.costs.cache_op;
+            latency += xfer(net, o, proc, self.words_per_line);
+            xfer(net, o, home, self.words_per_line); // writeback, off critical path
+            self.caches[o.index()].set_state(line, LineState::Shared);
+            self.dir(line).sharers.insert(o);
+        } else {
+            // Clean at home (or we were the stale "owner" after eviction):
+            // memory supplies the line.
+            latency += self.costs.memory + xfer(net, home, proc, self.words_per_line);
         }
+        let entry = self.dir(line);
+        entry.owner = None;
+        entry.sharers.insert(proc);
         self.fill(proc, line, LineState::Shared, net);
         AccessOutcome {
             latency,
@@ -423,7 +409,7 @@ impl CoherenceSystem {
         }
         self.stats.write_misses += 1;
         let home = self.home_of_line(line);
-        let entry = self.directory.entry(line).or_default();
+        let entry = self.dir(line);
         let owner = entry.owner;
         let mut sharers = entry.sharers;
         sharers.remove(proc);
@@ -466,7 +452,7 @@ impl CoherenceSystem {
                 latency += self.costs.memory + xfer(net, home, proc, self.words_per_line);
             }
         }
-        let entry = self.directory.get_mut(&line).expect("entry exists");
+        let entry = self.dir(line);
         entry.owner = Some(proc);
         entry.sharers.clear();
         entry.sharers.insert(proc);
@@ -481,11 +467,10 @@ impl CoherenceSystem {
     fn fill(&mut self, proc: ProcId, line: u64, state: LineState, net: &mut Network) {
         if let Some(ev) = self.caches[proc.index()].fill(line, state) {
             let ev_home = self.home_of_line(ev.line);
-            if let Some(entry) = self.directory.get_mut(&ev.line) {
-                entry.sharers.remove(proc);
-                if entry.owner == Some(proc) {
-                    entry.owner = None;
-                }
+            let entry = self.dir(ev.line);
+            entry.sharers.remove(proc);
+            if entry.owner == Some(proc) {
+                entry.owner = None;
             }
             if ev.state == LineState::Modified {
                 self.stats.eviction_writebacks += 1;
@@ -531,7 +516,11 @@ impl CoherenceSystem {
     /// a Modified owner excludes all other sharers, and every recorded sharer
     /// actually holds the line. Used by property tests.
     pub fn check_invariants(&self) -> Result<(), String> {
-        for (&line, entry) in &self.directory {
+        let entries = self.directory.iter().enumerate().flat_map(|(home, lines)| {
+            let base = make_addr(ProcId(home as u32), 0) >> self.line_shift;
+            (base..).zip(lines)
+        });
+        for (line, entry) in entries {
             if let Some(o) = entry.owner {
                 if entry.sharers.len() != 1 || !entry.sharers.contains(o) {
                     return Err(format!(
@@ -719,6 +708,40 @@ mod tests {
         }
         sys.check_invariants().unwrap();
         assert!(net.traffic().word_hops > 100);
+    }
+
+    #[test]
+    fn check_invariants_catches_planted_violations() {
+        let (mut sys, mut net) = system();
+        let a = addr(2, 48);
+        sys.access(ProcId(1), a, Access::Read, &mut net, Cycles::ZERO);
+        sys.check_invariants().unwrap();
+        let line = sys.line_of(a);
+
+        let mut lost_sharer = sys.clone();
+        lost_sharer.dir(line).sharers.remove(ProcId(1));
+        assert_eq!(
+            lost_sharer.check_invariants(),
+            Err(format!(
+                "line {line:#x}: P1 caches line absent from sharer set"
+            ))
+        );
+
+        let mut false_owner = sys.clone();
+        false_owner.dir(line).owner = Some(ProcId(1));
+        assert_eq!(
+            false_owner.check_invariants(),
+            Err(format!(
+                "line {line:#x}: directory owner P1 holds Some(Shared)"
+            ))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "coherence protocol addressed a processor outside the machine")]
+    fn home_outside_the_machine_is_a_protocol_error() {
+        let (mut sys, mut net) = system();
+        sys.access(ProcId(0), addr(4, 0), Access::Read, &mut net, Cycles::ZERO);
     }
 
     #[test]
