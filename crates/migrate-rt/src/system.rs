@@ -2622,7 +2622,8 @@ pub struct Runner {
 pub struct EngineProfile {
     /// Events dispatched, warm-up included.
     pub events: u64,
-    /// Peak number of pending events over the run.
+    /// Peak number of pending events over the engine's lifetime: the
+    /// warm-up and any earlier run on this runner count too.
     pub peak_queue_depth: usize,
 }
 
@@ -2684,7 +2685,9 @@ impl Runner {
 
     /// Like [`Runner::run`], but also report how the event loop itself
     /// performed. The simulation is identical — profiling only reads
-    /// counters the engine keeps anyway.
+    /// counters the engine keeps anyway. `events` counts this call's warm-up
+    /// and window; `peak_queue_depth` is the engine's lifetime high-water
+    /// mark, so it also covers earlier calls.
     pub fn run_profiled(&mut self, warmup: Cycles, window: Cycles) -> (RunMetrics, EngineProfile) {
         let start = self.engine.now();
         let mut events = 0u64;

@@ -5,77 +5,40 @@
 //! simulations bit-for-bit reproducible, which the experiment harness and the
 //! property tests rely on.
 //!
-//! # Two-tier structure
-//!
-//! The queue is split by temporal distance. Events within `WHEEL_SLOTS`
-//! cycles of the current window base land in a timing wheel — one slot per
-//! cycle, with a bitmap over slots so the next occupied slot is found by a
-//! word-wise scan instead of a heap traversal. Events further out overflow
-//! into a binary heap and migrate into the wheel in batches whenever the
-//! wheel drains.
-//!
-//! Determinism does not depend on which tier an event lands in:
-//!
-//! * Wheel slots cover `[wheel_base, wheel_base + WHEEL_SLOTS)` and the heap
-//!   only holds strictly later times, so a wheel event and a heap event can
-//!   never tie on time.
-//! * Within one slot all events share one timestamp. Sequence numbers are
-//!   globally monotone and the clock never runs backwards, so slot pushes —
-//!   whether from `schedule_at` or from draining the heap in `(time, seq)`
-//!   order during a window advance — always append in sequence order. FIFO
-//!   ties therefore come out of plain `push_back`/`pop_front`.
-//! * The window only advances when the wheel is empty, immediately before
-//!   popping the event that defines the new base, so `now >= wheel_base`
-//!   holds whenever callers can observe the queue.
+//! The queue is a binary heap of 16-byte keys over a slab of events. A key
+//! holds the event's time and a `tie` word: the schedule's sequence number in
+//! the high bits and the event's slab slot in the low `SLOT_BITS` bits. The
+//! heap moves only keys, never the (much larger) events. Sequence numbers are
+//! unique, so the slot bits never decide an order and ties stay FIFO however
+//! freed slots are reused.
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::time::Cycles;
 
-/// Width of the near-future window, in cycles (one slot per cycle). Must be
-/// a power of two: slot lookup is a mask, not a division.
-const WHEEL_SLOTS: usize = 4096;
-/// Words in the slot-occupancy bitmap.
-const WHEEL_WORDS: usize = WHEEL_SLOTS / 64;
+/// Low bits of a key's `tie` that name the event's slab slot.
+const SLOT_BITS: u32 = 24;
+/// Most events that may be pending at once.
+const MAX_PENDING: usize = 1 << SLOT_BITS;
+/// Most schedules per queue: the sequence number fills the rest of `tie`.
+const MAX_SEQ: u64 = 1 << (64 - SLOT_BITS);
 
-struct Scheduled<E> {
+/// Heap key: `(at, seq)` order, since `seq` sits above the slot in `tie`.
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord)]
+struct Key {
     at: Cycles,
-    seq: u64,
-    event: E,
-}
-
-// Manual impls: ordering must ignore the payload (which need not be `Ord`),
-// and the heap is a max-heap so we invert the comparison to pop earliest
-// first.
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
+    tie: u64,
 }
 
 /// A time-ordered queue of simulation events.
 pub struct EventQueue<E> {
-    /// Near-future tier: slot `t % WHEEL_SLOTS` holds the events at time `t`
-    /// for `t` in `[wheel_base, wheel_base + WHEEL_SLOTS)`, in FIFO order.
-    slots: Box<[VecDeque<E>]>,
-    /// One bit per slot; set iff the slot is non-empty.
-    occupied: [u64; WHEEL_WORDS],
-    wheel_len: usize,
-    wheel_base: Cycles,
-    /// Far-future tier: events at `wheel_base + WHEEL_SLOTS` or later.
-    heap: BinaryHeap<Scheduled<E>>,
+    /// Min-heap of the pending events' keys.
+    heap: BinaryHeap<Reverse<Key>>,
+    /// Pending events by slot; `None` marks a free slot.
+    events: Vec<Option<E>>,
+    /// Free slots of `events`, reused before the slab grows.
+    free: Vec<u32>,
     seq: u64,
     now: Cycles,
     peak: usize,
@@ -91,11 +54,9 @@ impl<E> EventQueue<E> {
     /// An empty queue at time zero.
     pub fn new() -> Self {
         EventQueue {
-            slots: (0..WHEEL_SLOTS).map(|_| VecDeque::new()).collect(),
-            occupied: [0; WHEEL_WORDS],
-            wheel_len: 0,
-            wheel_base: Cycles::ZERO,
             heap: BinaryHeap::new(),
+            events: Vec::new(),
+            free: Vec::new(),
             seq: 0,
             now: Cycles::ZERO,
             peak: 0,
@@ -111,13 +72,13 @@ impl<E> EventQueue<E> {
     /// Number of pending events.
     #[inline]
     pub fn len(&self) -> usize {
-        self.wheel_len + self.heap.len()
+        self.heap.len()
     }
 
     /// `true` if no events are pending.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 
     /// The deepest the queue has ever been (pending events), for profiling.
@@ -130,6 +91,7 @@ impl<E> EventQueue<E> {
     ///
     /// Scheduling in the past is a logic error in the caller; the queue
     /// clamps to `now` so time never runs backwards, and debug builds assert.
+    /// Panics past `2^24` pending events or `2^40` schedules in all builds.
     pub fn schedule_at(&mut self, at: Cycles, event: E) {
         debug_assert!(
             at >= self.now,
@@ -137,21 +99,28 @@ impl<E> EventQueue<E> {
             self.now
         );
         let at = at.max(self.now);
-        // `at >= now >= wheel_base`, so the delta cannot underflow.
-        if at.get().wrapping_sub(self.wheel_base.get()) < WHEEL_SLOTS as u64 {
-            self.push_wheel(at, event);
-        } else {
-            self.heap.push(Scheduled {
-                at,
-                seq: self.seq,
-                event,
-            });
-        }
+        assert!(
+            self.seq < MAX_SEQ,
+            "event queue exhausted its 2^40 sequence numbers"
+        );
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.events[slot as usize] = Some(event);
+                slot
+            }
+            None => {
+                assert!(
+                    self.events.len() < MAX_PENDING,
+                    "event queue holds 2^24 pending events"
+                );
+                self.events.push(Some(event));
+                (self.events.len() - 1) as u32
+            }
+        };
+        let tie = (self.seq << SLOT_BITS) | u64::from(slot);
+        self.heap.push(Reverse(Key { at, tie }));
         self.seq += 1;
-        let len = self.wheel_len + self.heap.len();
-        if len > self.peak {
-            self.peak = len;
-        }
+        self.peak = self.peak.max(self.heap.len());
     }
 
     /// Schedule `event` at `now + delay`.
@@ -168,35 +137,23 @@ impl<E> EventQueue<E> {
     /// advancing `now` to it. One call replaces a `peek_time` + `pop` pair
     /// in the event loop's hot path.
     pub fn pop_before(&mut self, horizon: Cycles) -> Option<(Cycles, E)> {
-        if self.wheel_len == 0 {
-            // Wheel times always precede heap times, so an empty wheel means
-            // the heap's minimum is the queue's minimum. Don't move the
-            // window for an event beyond the horizon.
-            if self.heap.peek()?.at > horizon {
-                return None;
-            }
-            self.refill_wheel();
-        }
-        let (idx, t) = self.wheel_next();
-        if t > horizon {
+        let Reverse(key) = *self.heap.peek()?;
+        if key.at > horizon {
             return None;
         }
-        let event = self.slots[idx].pop_front().expect("occupied slot is empty");
-        if self.slots[idx].is_empty() {
-            self.occupied[idx >> 6] &= !(1u64 << (idx & 63));
-        }
-        self.wheel_len -= 1;
-        self.now = t;
-        Some((t, event))
+        self.heap.pop();
+        let slot = (key.tie & (MAX_PENDING as u64 - 1)) as u32;
+        let event = self.events[slot as usize]
+            .take()
+            .expect("pending key names an empty slot");
+        self.free.push(slot);
+        self.now = key.at;
+        Some((key.at, event))
     }
 
     /// Timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<Cycles> {
-        if self.wheel_len > 0 {
-            Some(self.wheel_next().1)
-        } else {
-            self.heap.peek().map(|s| s.at)
-        }
+        self.heap.peek().map(|Reverse(key)| key.at)
     }
 
     /// Advance the clock to `t` without processing events (used when a run
@@ -208,57 +165,6 @@ impl<E> EventQueue<E> {
             debug_assert!(t <= next, "advance_to would skip pending events");
         }
         self.now = self.now.max(t);
-    }
-
-    #[inline]
-    fn push_wheel(&mut self, at: Cycles, event: E) {
-        let idx = (at.get() as usize) & (WHEEL_SLOTS - 1);
-        self.occupied[idx >> 6] |= 1u64 << (idx & 63);
-        self.slots[idx].push_back(event);
-        self.wheel_len += 1;
-    }
-
-    /// Move the window to the heap's minimum and pull every heap event that
-    /// now fits. Heap pops come out in `(time, seq)` order, so each slot is
-    /// filled in sequence order; all slots are empty when this runs.
-    fn refill_wheel(&mut self) {
-        debug_assert!(self.wheel_len == 0, "window advanced under live slots");
-        let base = self.heap.peek().expect("refill from empty heap").at;
-        self.wheel_base = base;
-        let limit = base.get().saturating_add(WHEEL_SLOTS as u64);
-        while let Some(top) = self.heap.peek() {
-            if top.at.get() >= limit {
-                break;
-            }
-            let s = self.heap.pop().expect("peeked entry exists");
-            self.push_wheel(s.at, s.event);
-        }
-    }
-
-    /// Index and timestamp of the earliest occupied wheel slot. Requires a
-    /// non-empty wheel. Every live slot holds a time in
-    /// `[max(now, wheel_base), wheel_base + WHEEL_SLOTS)` — a span at most
-    /// `WHEEL_SLOTS` wide — so the first set bit in a circular scan from
-    /// `max(now, wheel_base)` is the earliest event.
-    fn wheel_next(&self) -> (usize, Cycles) {
-        debug_assert!(self.wheel_len > 0, "scan of empty wheel");
-        let from = self.now.max(self.wheel_base);
-        let start = (from.get() as usize) & (WHEEL_SLOTS - 1);
-        let mut word = start >> 6;
-        let mut bits = self.occupied[word] & (!0u64 << (start & 63));
-        // `<= WHEEL_WORDS` re-scans the starting word in full after a wrap:
-        // its low bits (times just under one window away) are only reachable
-        // circularly.
-        for _ in 0..=WHEEL_WORDS {
-            if bits != 0 {
-                let idx = (word << 6) | bits.trailing_zeros() as usize;
-                let delta = idx.wrapping_sub(start) & (WHEEL_SLOTS - 1);
-                return (idx, Cycles(from.get() + delta as u64));
-            }
-            word = (word + 1) & (WHEEL_WORDS - 1);
-            bits = self.occupied[word];
-        }
-        unreachable!("wheel_len > 0 but occupancy bitmap is empty");
     }
 }
 
@@ -339,8 +245,9 @@ mod tests {
 
     #[test]
     fn far_future_events_overflow_to_heap_and_come_back() {
+        // A far-future event scheduled first still pops after a near one.
         let mut q = EventQueue::new();
-        let far = Cycles(10 * WHEEL_SLOTS as u64 + 3);
+        let far = Cycles(40_963);
         q.schedule_at(far, "far");
         q.schedule_at(Cycles(1), "near");
         assert_eq!(q.len(), 2);
@@ -353,10 +260,9 @@ mod tests {
 
     #[test]
     fn ties_pop_fifo_across_window_advance() {
-        // All events land in the heap first (far future), then migrate into
-        // the wheel together; same-cycle FIFO order must survive the move,
-        // including for events appended after the window advance.
-        let t = Cycles(3 * WHEEL_SLOTS as u64 + 17);
+        // Same-cycle FIFO order holds for events scheduled between pops at
+        // that cycle, not only for one batch scheduled up front.
+        let t = Cycles(12_305);
         let mut q = EventQueue::new();
         for i in 0..10 {
             q.schedule_at(t, i);
@@ -373,13 +279,12 @@ mod tests {
 
     #[test]
     fn window_boundary_is_exclusive() {
-        // An event exactly one window away goes to the heap but still pops
-        // in order relative to a wheel event.
+        // Adjacent cycles scheduled out of order pop in time order.
         let mut q = EventQueue::new();
-        q.schedule_at(Cycles(WHEEL_SLOTS as u64), "boundary");
-        q.schedule_at(Cycles(WHEEL_SLOTS as u64 - 1), "in-window");
-        assert_eq!(q.pop(), Some((Cycles(WHEEL_SLOTS as u64 - 1), "in-window")));
-        assert_eq!(q.pop(), Some((Cycles(WHEEL_SLOTS as u64), "boundary")));
+        q.schedule_at(Cycles(4096), "later");
+        q.schedule_at(Cycles(4095), "earlier");
+        assert_eq!(q.pop(), Some((Cycles(4095), "earlier")));
+        assert_eq!(q.pop(), Some((Cycles(4096), "later")));
     }
 
     #[test]
@@ -398,12 +303,13 @@ mod tests {
     #[test]
     fn pop_before_does_not_move_window_past_horizon() {
         // A refused pop must leave the queue observably unchanged.
-        let far = Cycles(5 * WHEEL_SLOTS as u64);
+        let far = Cycles(20_480);
         let mut q = EventQueue::new();
         q.schedule_at(far, ());
         assert_eq!(q.pop_before(Cycles(100)), None);
         assert_eq!(q.peek_time(), Some(far));
         assert_eq!(q.len(), 1);
+        assert_eq!(q.now(), Cycles::ZERO);
         assert_eq!(q.pop_before(far), Some((far, ())));
     }
 
@@ -423,8 +329,9 @@ mod tests {
 
     #[test]
     fn long_sparse_run_crosses_many_windows() {
+        // One event at a time, each far after the last, stays in order.
         let mut q = EventQueue::new();
-        let step = Cycles(WHEEL_SLOTS as u64 / 2 + 1);
+        let step = Cycles(2_049);
         q.schedule_at(Cycles(1), 0u64);
         let mut popped = 0u64;
         while let Some((t, i)) = q.pop() {
@@ -436,5 +343,51 @@ mod tests {
             }
         }
         assert_eq!(popped, 50);
+    }
+
+    #[test]
+    fn freed_slots_never_reorder_ties() {
+        // Fill slots 0..8 at cycle 100, then free the low ones by popping
+        // the early events. The same-cycle events scheduled next reuse those
+        // low slots, yet must pop after every earlier event at that cycle.
+        let t = Cycles(100);
+        let mut q = EventQueue::new();
+        for i in 0..4 {
+            q.schedule_at(Cycles(i), i);
+        }
+        for i in 4..8 {
+            q.schedule_at(t, i);
+        }
+        for i in 0..4 {
+            assert_eq!(q.pop(), Some((Cycles(i), i)));
+        }
+        for i in 8..12 {
+            q.schedule_at(t, i);
+        }
+        assert_eq!(q.events.len(), 8, "later events must reuse freed slots");
+        for i in 4..12 {
+            assert_eq!(q.pop(), Some((t, i)));
+        }
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "exhausted its 2^40 sequence numbers")]
+    fn sequence_cap_is_enforced() {
+        let mut q = EventQueue::new();
+        q.seq = MAX_SEQ - 1;
+        q.schedule_at(Cycles(1), ());
+        q.schedule_at(Cycles(1), ());
+    }
+
+    #[test]
+    #[should_panic(expected = "holds 2^24 pending events")]
+    fn pending_cap_is_enforced() {
+        // Unit events keep the full slab at 16 MiB, allocated once.
+        let mut q: EventQueue<()> = EventQueue::new();
+        q.events = Vec::with_capacity(MAX_PENDING);
+        q.events.resize(MAX_PENDING - 1, Some(()));
+        q.schedule_at(Cycles(1), ());
+        q.schedule_at(Cycles(1), ());
     }
 }

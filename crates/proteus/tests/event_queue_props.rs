@@ -1,7 +1,8 @@
-//! Differential property tests: the two-tier wheel+heap `EventQueue` must be
-//! observationally identical to the old single-`BinaryHeap` implementation —
-//! same `(time, seq)` pop order (including same-cycle FIFO ties), same clock,
-//! same horizon clamping — under arbitrary schedule/pop/advance interleavings.
+//! Differential property tests: the key-heap-over-slab `EventQueue` must be
+//! observationally identical to a plain `BinaryHeap` of whole events — same
+//! `(time, seq)` pop order (including same-cycle FIFO ties), same clock, same
+//! horizon clamping — under arbitrary schedule/pop/advance interleavings,
+//! including deep queues whose freed slab slots are reused many times over.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -87,9 +88,9 @@ impl<E> RefQueue<E> {
 /// here so the generated inputs print readably on failure.
 #[derive(Debug)]
 enum Op {
-    /// Schedule at `now + delta`. Deltas span several wheel windows so both
-    /// tiers and the migration path are exercised; small deltas (and 0)
-    /// produce same-cycle ties.
+    /// Schedule at `now + delta`. Deltas span thousands of cycles so near
+    /// and far events interleave in the heap; small deltas (and 0) produce
+    /// same-cycle ties.
     Schedule(u64),
     /// Pop unconditionally.
     Pop,
@@ -103,18 +104,19 @@ enum Op {
 }
 
 fn decode(tape: &[(u8, u64)]) -> Vec<Op> {
-    tape.iter()
-        .map(|&(tag, v)| match tag % 8 {
-            // Weight scheduling and popping heaviest; bias deltas toward
-            // ties and window boundaries.
-            0 | 1 => Op::Schedule(v % 12_288),
-            2 => Op::Schedule(v % 3),
-            3 | 4 => Op::Pop,
-            5 => Op::PopBefore(v % 9_000),
-            6 => Op::Advance(v % 5_000),
-            _ => Op::Peek,
-        })
-        .collect()
+    tape.iter().map(|&(tag, v)| decode_one(tag, v)).collect()
+}
+
+fn decode_one(tag: u8, v: u64) -> Op {
+    match tag % 8 {
+        // Weight scheduling and popping heaviest; bias deltas toward ties.
+        0 | 1 => Op::Schedule(v % 12_288),
+        2 => Op::Schedule(v % 3),
+        3 | 4 => Op::Pop,
+        5 => Op::PopBefore(v % 9_000),
+        6 => Op::Advance(v % 5_000),
+        _ => Op::Peek,
+    }
 }
 
 /// Run one op against both queues and check every observable agrees.
@@ -226,5 +228,40 @@ proptest! {
         }
         prop_assert_eq!(got, within, "horizon drain lost or invented events");
         prop_assert_eq!(q.len(), times.len() - within);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn deep_queue_slot_reuse_matches_binary_heap_reference(
+        prefill in proptest::collection::vec(0u64..50_000, 250..251),
+        tape in proptest::collection::vec((0u8..8, 0u64..1 << 32), 500..2_000)
+    ) {
+        // Hold 200-300 events pending (the benchmark's B-tree fault runs
+        // peak near 260), so every pop frees a slot that a later schedule
+        // reuses while hundreds of older keys are still in the heap.
+        let mut q = EventQueue::new();
+        let mut r = RefQueue::new();
+        let mut next_id = 0usize;
+        for &t in &prefill {
+            step(&Op::Schedule(t), &mut q, &mut r, &mut next_id)?;
+        }
+        for &(tag, v) in &tape {
+            let op = match decode_one(tag, v) {
+                Op::Pop | Op::PopBefore(_) if r.heap.len() <= 200 => Op::Schedule(v % 12_288),
+                Op::Schedule(_) if r.heap.len() >= 300 => Op::Pop,
+                op => op,
+            };
+            step(&op, &mut q, &mut r, &mut next_id)?;
+        }
+        loop {
+            let (a, b) = (q.pop(), r.pop());
+            prop_assert_eq!(a, b, "drain diverged");
+            if a.is_none() {
+                break;
+            }
+        }
     }
 }

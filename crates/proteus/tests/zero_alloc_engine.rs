@@ -1,5 +1,5 @@
 //! With no tracer attached, the steady-state event loop makes zero heap
-//! allocations per event: `pop_before` reuses the wheel's buckets and the
+//! allocations per event: the queue reuses its heap and slab capacity and the
 //! lazy `emit_with` closure never runs. Verified with a counting global
 //! allocator rather than inspection.
 
@@ -33,9 +33,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Ping-pong: every event schedules the next, forever. The +7 stride is
-/// coprime with the wheel's slot count, so over a long warm-up every bucket
-/// gets touched (and capacitated) at least once.
+/// Ping-pong: every event schedules the next, forever, so one event is
+/// pending at a time and its slab slot is freed and reused on every step.
 struct PingPong;
 
 impl Simulation for PingPong {
@@ -51,8 +50,8 @@ fn disabled_tracer_event_loop_allocates_nothing() {
     let mut sim = PingPong;
     let mut eng: Engine<PingPong> = Engine::new();
     eng.queue_mut().schedule_at(Cycles::ZERO, 0);
-    // Warm up past a full wheel rotation so every bucket has been used once
-    // and retains its capacity.
+    // Warm up so the queue's heap, slab and free list have allocated the
+    // capacity they keep for the rest of the run.
     eng.run_until(&mut sim, Cycles(100_000));
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let out = eng.run_until(&mut sim, Cycles(1_000_000));
