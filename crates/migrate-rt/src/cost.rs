@@ -363,7 +363,7 @@ pub struct CostModel {
     /// Applying a replica update message at a receiving processor.
     pub replica_apply: Cycles,
     /// Checking an arriving envelope's sequence number against the
-    /// delivered set (recovery protocol; only charged under fault
+    /// recovery window (recovery protocol; only charged under fault
     /// injection, and only for suppressed duplicates).
     pub dedup_check: Cycles,
     /// Running the retransmission-timeout handler for one unacked envelope

@@ -91,11 +91,35 @@ pub enum RuntimeError {
         /// Sequence number of the dropped envelope.
         seq: u64,
     },
+    /// A delivered envelope died un-executed in a killed receiver's queue
+    /// after its sender had already retired it, so nothing can deliver it
+    /// again (failover). Its activation frames count as lost.
+    RetiredDeliveryLost {
+        /// Sequence number of the lost envelope.
+        seq: u64,
+        /// The killed receiver.
+        at: ProcId,
+    },
 }
 
 impl RuntimeError {
+    /// Every [`RuntimeError::code`], sorted: a code's place here is its
+    /// error's kind index.
+    pub const CODES: [&'static str; 9] = [
+        "detached_frame_slept",
+        "duplicate_delivery",
+        "empty_migration",
+        "frame_reclaimed",
+        "migration_timeout",
+        "network_rejected",
+        "retired_delivery_lost",
+        "unknown_detached_group",
+        "unroutable_to_dead",
+    ];
+
     /// Stable snake_case identifier for this error, used as the key in JSON
-    /// artifacts. New variants must add a code here; codes never change.
+    /// artifacts. New variants must add a code here and to
+    /// [`RuntimeError::CODES`]; codes never change.
     pub fn code(&self) -> &'static str {
         match self {
             RuntimeError::EmptyMigration { .. } => "empty_migration",
@@ -106,7 +130,16 @@ impl RuntimeError {
             RuntimeError::DuplicateDelivery { .. } => "duplicate_delivery",
             RuntimeError::FrameReclaimed { .. } => "frame_reclaimed",
             RuntimeError::UnroutableToDead { .. } => "unroutable_to_dead",
+            RuntimeError::RetiredDeliveryLost { .. } => "retired_delivery_lost",
         }
+    }
+
+    /// This error's place in [`RuntimeError::CODES`].
+    pub(crate) fn kind(&self) -> usize {
+        let code = self.code();
+        Self::CODES
+            .binary_search(&code)
+            .expect("every code is in CODES")
     }
 }
 
@@ -156,6 +189,12 @@ impl std::fmt::Display for RuntimeError {
                     "envelope #{seq} to dead {dst:?} could not be rerouted; dropped"
                 )
             }
+            RuntimeError::RetiredDeliveryLost { seq, at } => {
+                write!(
+                    f,
+                    "envelope #{seq}, retired by its sender, died un-executed with {at:?}"
+                )
+            }
         }
     }
 }
@@ -202,12 +241,29 @@ mod tests {
                 dst: ProcId(3),
                 seq: 11,
             },
+            RuntimeError::RetiredDeliveryLost {
+                seq: 5,
+                at: ProcId(2),
+            },
         ];
         let codes: Vec<&str> = all.iter().map(RuntimeError::code).collect();
+        let pinned = [
+            "empty_migration",
+            "unknown_detached_group",
+            "detached_frame_slept",
+            "network_rejected",
+            "migration_timeout",
+            "duplicate_delivery",
+            "frame_reclaimed",
+            "unroutable_to_dead",
+            "retired_delivery_lost",
+        ];
+        assert_eq!(codes, pinned, "a variant's code changed");
         let mut unique = codes.clone();
         unique.sort_unstable();
         unique.dedup();
         assert_eq!(unique.len(), codes.len(), "codes collide: {codes:?}");
+        assert_eq!(unique, RuntimeError::CODES, "CODES is sorted and complete");
         for (e, code) in all.iter().zip(&codes) {
             assert_eq!(*code, code.to_lowercase(), "not snake_case: {code}");
             assert!(!e.to_string().is_empty());

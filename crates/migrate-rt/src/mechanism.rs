@@ -7,8 +7,6 @@
 //! the machine-level configuration an experiment runs under (the rows of
 //! Tables 1–4).
 
-use std::collections::BTreeMap;
-
 use crate::cost::CostModel;
 
 /// The per-call-site program annotation (§3.1).
@@ -120,6 +118,28 @@ impl DispatchKind {
     ];
 }
 
+/// Rows keyed by call site (the static label of the invoking frame), dense
+/// and sorted by label text, so equal contents compare equal whatever order
+/// the sites were first seen in, and two copies of one label are one site.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct SiteTable<T>(pub(crate) Vec<(&'static str, T)>);
+
+impl<T> SiteTable<T> {
+    /// The index of `site`'s row, or where it would be inserted.
+    pub(crate) fn find(&self, site: &str) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&site, |(s, _)| *s)
+    }
+
+    /// The row of `site`, made by `new` the first time the site is seen.
+    pub(crate) fn row(&mut self, site: &'static str, new: impl FnOnce() -> T) -> &mut T {
+        let i = self.find(site).unwrap_or_else(|i| {
+            self.0.insert(i, (site, new()));
+            i
+        });
+        &mut self.0[i].1
+    }
+}
+
 /// Per-call-site dispatch counters: how many invocations each source frame
 /// resolved to each mechanism. The call site is identified by the invoking
 /// frame's label (the static name of the activation that issued the
@@ -127,39 +147,38 @@ impl DispatchKind {
 /// placed.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DispatchStats {
-    by_site: BTreeMap<(&'static str, DispatchKind), u64>,
+    /// Counts per call site, by `DispatchKind as usize`.
+    sites: SiteTable<[u64; DispatchKind::ALL.len()]>,
 }
 
 impl DispatchStats {
     /// Record one dispatch decision made at `site`.
     pub fn record(&mut self, site: &'static str, kind: DispatchKind) {
-        *self.by_site.entry((site, kind)).or_insert(0) += 1;
+        self.sites.row(site, Default::default)[kind as usize] += 1;
     }
 
     /// Total dispatches of `kind` across all call sites.
     pub fn count(&self, kind: DispatchKind) -> u64 {
-        self.by_site
-            .iter()
-            .filter(|((_, k), _)| *k == kind)
-            .map(|(_, n)| n)
-            .sum()
+        self.sites.0.iter().map(|(_, n)| n[kind as usize]).sum()
     }
 
     /// Dispatches of `kind` from one call site.
     pub fn site_count(&self, site: &'static str, kind: DispatchKind) -> u64 {
-        self.by_site.get(&(site, kind)).copied().unwrap_or(0)
+        let row = self.sites.find(site).ok();
+        row.map_or(0, |i| self.sites.0[i].1[kind as usize])
     }
 
-    /// All `(site, kind, count)` rows in deterministic order.
+    /// All nonzero `(site, kind, count)` rows, sorted by site, then kind.
     pub fn rows(&self) -> impl Iterator<Item = (&'static str, DispatchKind, u64)> + '_ {
-        self.by_site
-            .iter()
-            .map(|(&(site, kind), &n)| (site, kind, n))
+        self.sites.0.iter().flat_map(|(site, n)| {
+            let count = |k: &DispatchKind| (*site, *k, n[*k as usize]);
+            DispatchKind::ALL.iter().map(count).filter(|row| row.2 > 0)
+        })
     }
 
     /// Total dispatches recorded.
     pub fn total(&self) -> u64 {
-        self.by_site.values().sum()
+        self.sites.0.iter().flat_map(|(_, n)| n).sum()
     }
 }
 
@@ -355,6 +374,80 @@ mod tests {
         assert!(hw.send(4) < sw.send(4));
         assert!(hw.receive(4, false) < sw.receive(4, false));
         assert_eq!(hw.goid_translation, Cycles::ZERO);
+    }
+
+    /// The same label text at a second address, as another crate's copy of
+    /// a string literal would be.
+    fn alias(site: &'static str) -> &'static str {
+        let copy: &'static str = String::from(site).leak();
+        assert!(!std::ptr::eq(copy, site));
+        copy
+    }
+
+    #[test]
+    fn dispatch_kinds_index_their_table() {
+        for (i, kind) in DispatchKind::ALL.iter().enumerate() {
+            assert_eq!(*kind as usize, i, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn dispatch_rows_sort_by_site_then_kind() {
+        let mut stats = DispatchStats::default();
+        stats.record("zeta", DispatchKind::RpcFallback);
+        stats.record("alpha", DispatchKind::Migration);
+        stats.record("zeta", DispatchKind::LocalInline);
+        stats.record("mid", DispatchKind::Rpc);
+        stats.record("alpha", DispatchKind::Rpc);
+        stats.record("alpha", DispatchKind::Rpc);
+        let rows: Vec<_> = stats.rows().collect();
+        assert_eq!(
+            rows,
+            [
+                ("alpha", DispatchKind::Rpc, 2),
+                ("alpha", DispatchKind::Migration, 1),
+                ("mid", DispatchKind::Rpc, 1),
+                ("zeta", DispatchKind::LocalInline, 1),
+                ("zeta", DispatchKind::RpcFallback, 1),
+            ]
+        );
+        assert_eq!(stats.total(), 6);
+        assert_eq!(stats.count(DispatchKind::Rpc), 3);
+        assert_eq!(stats.site_count("alpha", DispatchKind::Rpc), 2);
+        assert_eq!(stats.site_count("alpha", DispatchKind::ThreadMove), 0);
+        assert_eq!(stats.site_count("nowhere", DispatchKind::Rpc), 0);
+    }
+
+    #[test]
+    fn equal_label_text_is_one_site() {
+        let mut stats = DispatchStats::default();
+        stats.record("chain-op", DispatchKind::Rpc);
+        stats.record(alias("chain-op"), DispatchKind::Rpc);
+        stats.record(alias("chain-op"), DispatchKind::Migration);
+        assert_eq!(stats.site_count("chain-op", DispatchKind::Rpc), 2);
+        assert_eq!(
+            stats.site_count(alias("chain-op"), DispatchKind::Migration),
+            1
+        );
+        assert_eq!(stats.rows().count(), 2, "one site, two kinds");
+    }
+
+    #[test]
+    fn stats_compare_by_counts_not_first_seen_order() {
+        let record = |order: &[(&'static str, DispatchKind)]| {
+            let mut stats = DispatchStats::default();
+            for &(site, kind) in order {
+                stats.record(site, kind);
+            }
+            stats
+        };
+        let (a, b) = (("a", DispatchKind::Rpc), ("b", DispatchKind::Migration));
+        let forward = record(&[a, b, b]);
+        assert_eq!(forward, record(&[b, a, b]));
+        assert_eq!(forward, record(&[(alias("b"), b.1), b, a]));
+        assert_ne!(forward, record(&[a, b]));
+        assert_ne!(forward, record(&[a, b, b, (alias("c"), DispatchKind::Rpc)]));
+        assert_eq!(DispatchStats::default(), DispatchStats::default());
     }
 
     #[test]

@@ -199,6 +199,23 @@ pub enum MessageKind {
     BackupDelta,
 }
 
+impl MessageKind {
+    /// Every kind, in declaration order: `kind as usize` indexes it.
+    pub const ALL: [MessageKind; 11] = [
+        MessageKind::RpcRequest,
+        MessageKind::RpcReply,
+        MessageKind::Migration,
+        MessageKind::ObjectPull,
+        MessageKind::ObjectMove,
+        MessageKind::ThreadMove,
+        MessageKind::OperationReturn,
+        MessageKind::ReplicaUpdate,
+        MessageKind::Ack,
+        MessageKind::Heartbeat,
+        MessageKind::BackupDelta,
+    ];
+}
+
 /// A message in flight.
 pub struct Message {
     /// Sending processor.
@@ -234,6 +251,13 @@ mod tests {
         // 2 linkage + (2 + 3 args)
         assert_eq!(p.words(), 7);
         assert_eq!(p.kind(), MessageKind::RpcRequest);
+    }
+
+    #[test]
+    fn kinds_index_their_table() {
+        for (i, kind) in MessageKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "{kind:?}");
+        }
     }
 
     #[test]

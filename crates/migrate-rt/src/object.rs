@@ -7,7 +7,6 @@
 //! runs unmodified under every scheme — the paper's portability argument.
 
 use std::any::Any;
-use std::collections::HashMap;
 
 use proteus::coherence::make_addr;
 use proteus::{Cycles, ProcId};
@@ -87,7 +86,8 @@ pub struct ObjectEntry {
 #[derive(Default)]
 pub struct ObjectTable {
     entries: Vec<ObjectEntry>,
-    next_offset: HashMap<ProcId, u64>,
+    /// Next free byte of each node's address space, by processor index.
+    next_offset: Vec<u64>,
 }
 
 impl ObjectTable {
@@ -112,11 +112,8 @@ impl ObjectTable {
     /// objects; fields within one object may share lines, as on the real
     /// machine).
     pub fn create(&mut self, behavior: Box<dyn Behavior>, home: ProcId) -> Goid {
-        const LINE: u64 = 16;
         let size = behavior.size_bytes().max(8);
-        let offset = self.next_offset.entry(home).or_insert(0);
-        let base_addr = make_addr(home, *offset);
-        *offset += size.div_ceil(LINE) * LINE;
+        let base_addr = self.alloc(home, size);
         let goid = Goid(self.entries.len() as u64);
         self.entries.push(ObjectEntry {
             home,
@@ -136,15 +133,22 @@ impl ObjectTable {
     /// and needs a real address there so shared-memory traffic stays
     /// realistic.
     pub fn rehome(&mut self, goid: Goid, new_home: ProcId) {
-        const LINE: u64 = 16;
-        let size = self.entry(goid).size_bytes;
-        let offset = self.next_offset.entry(new_home).or_insert(0);
-        let base_addr = make_addr(new_home, *offset);
-        *offset += size.div_ceil(LINE) * LINE;
+        let base_addr = self.alloc(new_home, self.entry(goid).size_bytes);
         let entry = self.entry_mut(goid);
         entry.home = new_home;
         entry.base_addr = base_addr;
         entry.lock_free_at = Cycles::ZERO;
+    }
+
+    /// Line-aligned memory for `size` bytes in `home`'s address space.
+    fn alloc(&mut self, home: ProcId, size: u64) -> u64 {
+        const LINE: u64 = 16;
+        let h = home.index();
+        self.next_offset
+            .resize(self.next_offset.len().max(h + 1), 0);
+        let base_addr = make_addr(home, self.next_offset[h]);
+        self.next_offset[h] += size.div_ceil(LINE) * LINE;
+        base_addr
     }
 
     /// Mark an object as software-replicated (read-only methods may be

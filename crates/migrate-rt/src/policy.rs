@@ -30,13 +30,13 @@
 //! categories, so the busy==charged accounting identity holds under the
 //! adaptive scheme exactly as it does under the static ones.
 //!
-//! The engine is deterministic: sites live in a [`BTreeMap`] keyed by the
-//! static site label, samples are integers, and the threshold compare is
+//! The engine is deterministic: sites live in a call-site table sorted by
+//! label, samples are integers, and the threshold compare is
 //! integer arithmetic — same seed, same byte-identical artifacts.
 //!
 //! [`Annotation::Auto`]: crate::mechanism::Annotation::Auto
 
-use std::collections::BTreeMap;
+use crate::mechanism::SiteTable;
 
 /// Tuning of the adaptive dispatch policy (consulted only for
 /// [`crate::mechanism::Annotation::Auto`] call sites under a scheme with
@@ -148,7 +148,7 @@ pub struct PolicyDecision {
 #[derive(Clone, Debug)]
 pub struct PolicyEngine {
     cfg: PolicyConfig,
-    sites: BTreeMap<&'static str, SiteState>,
+    sites: SiteTable<SiteState>,
     stats: PolicyStats,
     /// Whether the engine was ever consulted (lifetime of the run):
     /// gates the `policy` field in metrics so schemes that never dispatch
@@ -161,7 +161,7 @@ impl PolicyEngine {
     pub fn new(cfg: PolicyConfig) -> PolicyEngine {
         PolicyEngine {
             cfg,
-            sites: BTreeMap::new(),
+            sites: SiteTable(Vec::new()),
             stats: PolicyStats::default(),
             active: false,
         }
@@ -175,11 +175,7 @@ impl PolicyEngine {
     /// Decide the mechanism for one remote `Auto` dispatch from `site`.
     pub fn decide(&mut self, site: &'static str) -> PolicyDecision {
         self.active = true;
-        let window = self.cfg.window;
-        let s = self
-            .sites
-            .entry(site)
-            .or_insert_with(|| SiteState::new(window));
+        let s = self.sites.row(site, || SiteState::new(self.cfg.window));
         let mean = s.mean_milli();
         let migrate = if s.migrating {
             mean >= self.cfg.rpc_below_milli
@@ -203,19 +199,16 @@ impl PolicyEngine {
     /// Fold one finished episode's remote-access count into `site`'s window.
     pub fn record_episode(&mut self, site: &'static str, remote_accesses: u32) {
         self.active = true;
-        let window = self.cfg.window;
-        self.sites
-            .entry(site)
-            .or_insert_with(|| SiteState::new(window))
-            .push(remote_accesses);
+        let s = self.sites.row(site, || SiteState::new(self.cfg.window));
+        s.push(remote_accesses);
         self.stats.episodes += 1;
     }
 
     /// Window counters, with the lifetime occupancy figures filled in.
     pub fn stats(&self) -> PolicyStats {
         let mut stats = self.stats.clone();
-        stats.sites = self.sites.len() as u64;
-        stats.window_occupancy = self.sites.values().map(|s| s.filled as u64).sum();
+        stats.sites = self.sites.0.len() as u64;
+        stats.window_occupancy = self.sites.0.iter().map(|(_, s)| s.filled as u64).sum();
         stats
     }
 
@@ -329,6 +322,30 @@ mod tests {
         assert_eq!(stats.window_occupancy, 8, "window state persists");
         assert!(e.decide("site").migrate, "mode persists too");
         assert!(!e.decide("site").flipped);
+    }
+
+    #[test]
+    fn site_counts_ignore_label_address_and_first_seen_order() {
+        let copy: &'static str = String::from("hot").leak();
+        let feed = |sites: [&'static str; 3]| {
+            let mut e = PolicyEngine::new(PolicyConfig {
+                window: 4,
+                ..PolicyConfig::default()
+            });
+            for site in sites {
+                for _ in 0..3 {
+                    e.record_episode(site, 2);
+                }
+                e.decide(site);
+            }
+            e.stats()
+        };
+        let stats = feed(["hot", "cold", copy]);
+        assert_eq!(stats.sites, 2, "\"hot\" at two addresses is one site");
+        assert_eq!(stats.window_occupancy, 4 + 3, "hot's window filled at 4");
+        assert_eq!(stats.episodes, 9);
+        assert_eq!(stats, feed([copy, "cold", "hot"]));
+        assert_eq!(stats, feed(["cold", "hot", "hot"]));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * under fault injection, remote messages ride the recovery transport
 //!   ([`crate::transport`]).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use proteus::coherence::Access;
 use proteus::engine::{Engine, Simulation};
@@ -282,6 +282,9 @@ struct ThreadState {
     /// a local replica. The thread home is stable while detached, so this
     /// count measures the access pattern, not the policy's own choices.
     auto_remote: u32,
+    /// The thread's migrated activation group while it waits, parked away
+    /// from home, for an RPC reply.
+    detached: Option<DetachedFrame>,
 }
 
 struct DetachedFrame {
@@ -397,7 +400,6 @@ pub struct System {
     replica_at: Vec<bool>,
     objects: ObjectTable,
     threads: Vec<ThreadState>,
-    detached: HashMap<ThreadId, DetachedFrame>,
     /// Recycled frame-group buffers. Every migration allocates a `Vec` for
     /// the travelling activation group; reusing the emptied buffers
     /// (capacity only — contents are always cleared) keeps the steady-state
@@ -411,7 +413,8 @@ pub struct System {
     migrations: u64,
     ops_completed: u64,
     op_latency: Histogram,
-    msg_counts: HashMap<MessageKind, u64>,
+    /// Messages sent in the window, by `MessageKind as usize`.
+    msg_counts: [u64; MessageKind::ALL.len()],
     window_start: Cycles,
     dispatch: DispatchStats,
     tracer: Tracer,
@@ -423,8 +426,8 @@ pub struct System {
     audit_violations: Vec<String>,
     /// The first `RUNTIME_ERRORS_KEPT` protocol errors, in order.
     runtime_errors: Vec<RuntimeError>,
-    /// Every protocol error ever recorded, counted by stable code.
-    runtime_error_counts: BTreeMap<&'static str, u64>,
+    /// Every protocol error ever recorded, counted by kind.
+    runtime_error_counts: [u64; RuntimeError::CODES.len()],
     /// The recovery transport (`Some` exactly when `cfg.faults` is set). Its
     /// absence keeps the fault-free fast path bit-identical to the
     /// pre-fault runtime.
@@ -435,8 +438,8 @@ pub struct System {
     /// Processors the failure detector has declared dead: dead protocol
     /// state. Lags `failed` by the detection latency.
     declared_dead: Vec<bool>,
-    /// Per-object replication delta sequence numbers (primary side).
-    delta_seqs: HashMap<Goid, u64>,
+    /// Replication delta sequence numbers (primary side), by GOID.
+    delta_seqs: Vec<u64>,
     failover: FailoverStats,
     /// Adaptive dispatch policy (see [`crate::policy`]). Consulted only for
     /// [`Annotation::Auto`] dispatches under migration-enabled schemes.
@@ -464,7 +467,6 @@ impl System {
             replica_at,
             objects: ObjectTable::new(),
             threads: Vec::new(),
-            detached: HashMap::new(),
             frame_pool: Vec::new(),
             rng: SplitMix64::new(cfg.seed),
             acct: DenseAccounting::default(),
@@ -473,7 +475,7 @@ impl System {
             migrations: 0,
             ops_completed: 0,
             op_latency: Histogram::new(100, 4096),
-            msg_counts: HashMap::new(),
+            msg_counts: [0; MessageKind::ALL.len()],
             window_start: Cycles::ZERO,
             dispatch: DispatchStats::default(),
             tracer: Tracer::disabled(),
@@ -481,14 +483,14 @@ impl System {
             audit_tasks: 0,
             audit_violations: Vec::new(),
             runtime_errors: Vec::new(),
-            runtime_error_counts: BTreeMap::new(),
+            runtime_error_counts: [0; RuntimeError::CODES.len()],
             transport: cfg
                 .faults
                 .clone()
                 .map(|plan| Transport::new(plan, cfg.recovery.clone(), n as usize)),
             failed: vec![false; n as usize],
             declared_dead: vec![false; n as usize],
-            delta_seqs: HashMap::new(),
+            delta_seqs: Vec::new(),
             failover: FailoverStats::default(),
             policy: PolicyEngine::new(cfg.policy.clone()),
             cfg,
@@ -597,6 +599,7 @@ impl System {
             op_started: None,
             auto_site: None,
             auto_remote: 0,
+            detached: None,
         });
         tid
     }
@@ -630,7 +633,7 @@ impl System {
         self.migrations = 0;
         self.ops_completed = 0;
         self.op_latency = Histogram::new(100, 4096);
-        self.msg_counts.clear();
+        self.msg_counts = [0; MessageKind::ALL.len()];
         self.dispatch = DispatchStats::default();
         self.audit_tasks = 0;
         self.audit_violations.clear();
@@ -731,15 +734,19 @@ impl System {
             max_proc_utilization: max_util,
             accounting: self.acct.to_cycle_accounting(),
             migration_accounting: self.migration_acct.to_cycle_accounting(),
-            message_kinds: self.msg_counts.clone(),
+            message_kinds: MessageKind::ALL
+                .into_iter()
+                .zip(self.msg_counts)
+                .filter(|(_, n)| *n > 0)
+                .collect(),
             dispatch: self.dispatch.clone(),
             per_proc,
             audit,
-            runtime_errors: self.runtime_error_counts.values().sum(),
-            runtime_error_codes: self
-                .runtime_error_counts
-                .iter()
-                .map(|(code, n)| (*code, *n))
+            runtime_errors: self.runtime_error_counts.iter().sum(),
+            runtime_error_codes: RuntimeError::CODES
+                .into_iter()
+                .zip(self.runtime_error_counts)
+                .filter(|(_, n)| *n > 0)
                 .collect(),
             recovery: self.transport.as_ref().map(|t| t.stats.clone()),
             faults: self.transport.as_ref().map(|t| t.injector.stats().clone()),
@@ -752,7 +759,8 @@ impl System {
     // Charging helpers
     // ------------------------------------------------------------------
 
-    fn charge(&mut self, category: CategoryId, cycles: Cycles) {
+    /// Charge `cycles` to `category`; returns `cycles`.
+    fn charge(&mut self, category: CategoryId, cycles: Cycles) -> Cycles {
         self.acct.charge(category, cycles);
         if self.migration_ctx {
             self.migration_acct.charge(category, cycles);
@@ -763,6 +771,7 @@ impl System {
         if category != cat::NETWORK_TRANSIT {
             self.busy_charged += cycles.get();
         }
+        cycles
     }
 
     fn charge_user(&mut self, cycles: Cycles) {
@@ -790,6 +799,26 @@ impl System {
         }
     }
 
+    /// Record a runtime trace event; `detail` runs only when a sink is
+    /// attached.
+    #[inline]
+    fn trace(
+        &self,
+        at: Cycles,
+        kind: &'static str,
+        proc: Option<ProcId>,
+        detail: impl FnOnce() -> String,
+    ) {
+        let source = "runtime";
+        self.tracer.emit_with(|| TraceEvent {
+            at,
+            source,
+            kind,
+            proc,
+            detail: detail(),
+        });
+    }
+
     /// Record how an invocation issued from call site `site` was dispatched.
     fn record_dispatch(
         &mut self,
@@ -799,12 +828,8 @@ impl System {
         kind: DispatchKind,
     ) {
         self.dispatch.record(site, kind);
-        self.tracer.emit_with(|| TraceEvent {
-            at: now,
-            source: "runtime",
-            kind: "dispatch",
-            proc: Some(proc),
-            detail: format!("site={site} mechanism={}", kind.label()),
+        self.trace(now, "dispatch", Some(proc), || {
+            format!("site={site} mechanism={}", kind.label())
         });
     }
 
@@ -824,14 +849,8 @@ impl System {
             // rejected sends) record activity the protocol already handled.
             _ => {}
         }
-        self.tracer.emit_with(|| TraceEvent {
-            at: now,
-            source: "runtime",
-            kind: "error",
-            proc: None,
-            detail: error.to_string(),
-        });
-        *self.runtime_error_counts.entry(error.code()).or_insert(0) += 1;
+        self.trace(now, "error", None, || error.to_string());
+        self.runtime_error_counts[error.kind()] += 1;
         // Only the stored values are bounded: a malformed-message storm must
         // not grow memory forever, but every error is counted.
         if self.runtime_errors.len() < RUNTIME_ERRORS_KEPT {
@@ -877,13 +896,10 @@ impl System {
         // Charges for a migration *message* always count toward Table 5,
         // wherever they happen.
         self.migration_ctx = was_migration_ctx || wire.kind == MessageKind::Migration;
-        let marshal = self.cost.marshal(wire.words);
-        self.charge(cat::LINKAGE_SEND, self.cost.linkage_send);
-        self.charge(cat::ALLOC_PACKET_SEND, self.cost.alloc_packet_send);
-        self.charge(cat::MARSHAL, marshal);
-        self.charge(cat::MESSAGE_SEND, self.cost.message_send);
-        let overhead =
-            self.cost.linkage_send + self.cost.alloc_packet_send + marshal + self.cost.message_send;
+        let overhead = self.charge(cat::LINKAGE_SEND, self.cost.linkage_send)
+            + self.charge(cat::ALLOC_PACKET_SEND, self.cost.alloc_packet_send)
+            + self.charge(cat::MARSHAL, self.cost.marshal(wire.words))
+            + self.charge(cat::MESSAGE_SEND, self.cost.message_send);
         let latency = match self.net.send_at(send_time, src, dst, wire.words) {
             Ok(l) => l,
             Err(_) => {
@@ -894,7 +910,7 @@ impl System {
         };
         self.charge(cat::NETWORK_TRANSIT, latency);
         self.migration_ctx = was_migration_ctx;
-        *self.msg_counts.entry(wire.kind).or_insert(0) += 1;
+        self.msg_counts[wire.kind as usize] += 1;
         (overhead, Some(latency))
     }
 
@@ -961,24 +977,16 @@ impl System {
         } else {
             self.cost.thread_creation
         };
-        let unmarshal = self.cost.unmarshal(wire.words);
-        self.charge(cat::COPY_PACKET, self.cost.copy_packet);
-        self.charge(cat::THREAD_CREATION, thread);
-        self.charge(cat::LINKAGE_RECV, self.cost.linkage_recv);
-        self.charge(cat::UNMARSHAL, unmarshal);
-        self.charge(cat::GOID_TRANSLATION, self.cost.goid_translation);
-        self.charge(cat::SCHEDULER, self.cost.scheduler);
-        self.charge(cat::FORWARDING_CHECK, self.cost.forwarding_check);
-        self.charge(cat::ALLOC_PACKET_RECV, self.cost.alloc_packet_recv);
+        let busy = self.charge(cat::COPY_PACKET, self.cost.copy_packet)
+            + self.charge(cat::THREAD_CREATION, thread)
+            + self.charge(cat::LINKAGE_RECV, self.cost.linkage_recv)
+            + self.charge(cat::UNMARSHAL, self.cost.unmarshal(wire.words))
+            + self.charge(cat::GOID_TRANSLATION, self.cost.goid_translation)
+            + self.charge(cat::SCHEDULER, self.cost.scheduler)
+            + self.charge(cat::FORWARDING_CHECK, self.cost.forwarding_check)
+            + self.charge(cat::ALLOC_PACKET_RECV, self.cost.alloc_packet_recv);
         self.migration_ctx = was;
-        self.cost.copy_packet
-            + thread
-            + self.cost.linkage_recv
-            + unmarshal
-            + self.cost.goid_translation
-            + self.cost.scheduler
-            + self.cost.forwarding_check
-            + self.cost.alloc_packet_recv
+        busy
     }
 
     /// Charge the receive path of a delivered message at `proc`: a replica
@@ -988,8 +996,7 @@ impl System {
     fn charge_delivery(&mut self, proc: ProcId, msg: &Message) -> Cycles {
         match msg.payload {
             Payload::ReplicaUpdate { .. } => {
-                self.charge(cat::REPLICA_APPLY, self.cost.replica_apply);
-                self.cost.replica_apply
+                self.charge(cat::REPLICA_APPLY, self.cost.replica_apply)
             }
             Payload::ObjectPull { .. } if msg.src == proc => Cycles::ZERO,
             ref payload => self.charge_recv(self.wire(payload)),
@@ -1139,13 +1146,14 @@ impl System {
     // Failover: detection, replication, re-homing
     // ------------------------------------------------------------------
 
-    /// Deterministic backup placement: the next processor after `home` in
-    /// ring order, skipping processors already declared dead. With one
-    /// processor there is no backup (`backup_for(p) == p`).
-    fn backup_for(&self, home: ProcId) -> ProcId {
+    /// The next processor after `p` in ring order, skipping processors
+    /// already declared dead (`p` itself when no other is left): the
+    /// deterministic backup of the objects homed at `p`, and the target of
+    /// `p`'s heartbeat probes.
+    fn successor(&self, p: ProcId) -> ProcId {
         let n = self.procs.len();
-        let mut b = (home.index() + 1) % n;
-        while b != home.index() && self.declared_dead[b] {
+        let mut b = (p.index() + 1) % n;
+        while b != p.index() && self.declared_dead[b] {
             b = (b + 1) % n;
         }
         ProcId(b as u32)
@@ -1163,16 +1171,17 @@ impl System {
         send_time: Cycles,
         queue: &mut EventQueue<Event>,
     ) -> Cycles {
-        let backup = self.backup_for(home);
+        let backup = self.successor(home);
         if backup == home {
             return Cycles::ZERO; // single-processor machine: nowhere to back up
         }
         if backup == proc {
             return Cycles::ZERO; // the executor is the backup: delta applies locally, free
         }
-        let seq = self.delta_seqs.entry(target).or_insert(0);
-        *seq += 1;
-        let delta_seq = *seq;
+        let g = target.0 as usize;
+        self.delta_seqs.resize(self.delta_seqs.len().max(g + 1), 0);
+        self.delta_seqs[g] += 1;
+        let delta_seq = self.delta_seqs[g];
         let words = wrote_bytes.div_ceil(8).max(1);
         self.charge(cat::REPLICATION_DELTA_SEND, self.cost.delta_send);
         self.failover.replication_deltas += 1;
@@ -1201,22 +1210,16 @@ impl System {
         }
         self.declared_dead[victim.index()] = true;
         self.failover.suspicions += 1;
-        self.charge(cat::RECOVERY_SUSPICION, self.cost.suspicion);
-        let mut acc = acc + self.cost.suspicion;
-        self.tracer.emit_with(|| TraceEvent {
-            at: now + acc,
-            source: "runtime",
-            kind: "suspect",
-            proc: Some(proc),
-            detail: format!("declared {} dead (heartbeat silence)", victim.index()),
+        let mut acc = acc + self.charge(cat::RECOVERY_SUSPICION, self.cost.suspicion);
+        self.trace(now + acc, "suspect", Some(proc), || {
+            format!("declared {} dead (heartbeat silence)", victim.index())
         });
         // Promotion: the backup already holds the replicated state; flip
         // the directory. The backup is computed once — every object homed
         // at the victim shares the same ring successor.
         self.failover.promotions += 1;
-        self.charge(cat::RECOVERY_PROMOTION, self.cost.promotion);
-        acc += self.cost.promotion;
-        let backup = self.backup_for(victim);
+        acc += self.charge(cat::RECOVERY_PROMOTION, self.cost.promotion);
+        let backup = self.successor(victim);
         let dead_objects: Vec<Goid> = self
             .objects
             .goids()
@@ -1224,20 +1227,15 @@ impl System {
             .collect();
         for g in dead_objects {
             self.objects.rehome(g, backup);
-            self.charge(cat::RECOVERY_REHOME, self.cost.rehome_per_object);
-            acc += self.cost.rehome_per_object;
+            acc += self.charge(cat::RECOVERY_REHOME, self.cost.rehome_per_object);
             self.failover.rehomed_objects += 1;
         }
-        self.tracer.emit_with(|| TraceEvent {
-            at: now + acc,
-            source: "runtime",
-            kind: "promote",
-            proc: Some(backup),
-            detail: format!(
+        self.trace(now + acc, "promote", Some(backup), || {
+            format!(
                 "backup of {} promoted; {} object(s) re-homed",
                 victim.index(),
                 self.failover.rehomed_objects
-            ),
+            )
         });
         acc
     }
@@ -1258,17 +1256,13 @@ impl System {
             }
             // Replies follow the caller: a parked detached group, or the
             // thread's home.
-            Payload::RpcReply { thread, .. } => Some(
-                self.detached
-                    .get(thread)
-                    .map(|d| d.at)
-                    .unwrap_or(self.threads[thread.index()].home),
-            ),
+            Payload::RpcReply { thread, .. } => {
+                let t = &self.threads[thread.index()];
+                Some(t.detached.as_ref().map_or(t.home, |d| d.at))
+            }
             Payload::OperationReturn { thread, .. } => Some(self.threads[thread.index()].home),
             // The backup died: re-replicate to the home's new backup.
-            Payload::BackupDelta { target, .. } => {
-                Some(self.backup_for(self.objects.home(*target)))
-            }
+            Payload::BackupDelta { target, .. } => Some(self.successor(self.objects.home(*target))),
         }
     }
 
@@ -1288,15 +1282,12 @@ impl System {
         let dead = env.dst;
         debug_assert!(self.declared_dead[dead.index()]);
         let to = self
-            .transport
-            .as_ref()
-            .and_then(|t| t.in_flight.get(&env.seq)?.payload.as_ref())
-            .and_then(|p| self.reroute_target(p))
+            .in_flight(env.seq)
+            .and_then(|e| self.reroute_target(e.payload.as_ref()?))
             .filter(|d| !self.declared_dead[d.index()] && *d != dead);
         let redirected = to.and_then(|d| self.transport.as_mut()?.redirect(env.seq, d));
         let Some(env) = redirected else {
-            let retired = self.retire(env.seq);
-            if let Some(payload) = retired.and_then(|e| e.payload) {
+            if let Some(payload) = self.retire(env.seq).and_then(|e| e.payload) {
                 if env.wire.kind != MessageKind::Heartbeat {
                     self.record_runtime_error(
                         now + acc,
@@ -1316,22 +1307,17 @@ impl System {
             return acc;
         };
         self.failover.rerouted_calls += 1;
-        self.charge(cat::RECOVERY_REROUTE, self.cost.reroute);
-        let acc = acc + self.cost.reroute;
+        let acc = acc + self.charge(cat::RECOVERY_REROUTE, self.cost.reroute);
         let (overhead, latency) = self.charge_send(env.src, env.dst, env.wire, now + acc);
         let acc = acc + overhead;
-        self.tracer.emit_with(|| TraceEvent {
-            at: now + acc,
-            source: "runtime",
-            kind: "reroute",
-            proc: Some(proc),
-            detail: format!(
+        self.trace(now + acc, "reroute", Some(proc), || {
+            format!(
                 "seq={} kind={:?} {} -> {}",
                 env.seq,
                 env.wire.kind,
                 dead.index(),
                 env.dst.index()
-            ),
+            )
         });
         if let Some(latency) = latency {
             self.launch_envelope(env, 1, now + acc, latency, queue);
@@ -1350,65 +1336,38 @@ impl System {
             return;
         }
         self.failed[v] = true;
-        self.tracer.emit_with(|| TraceEvent {
-            at: now,
-            source: "runtime",
-            kind: "kill",
-            proc: Some(victim),
-            detail: "permanent fail-stop crash".to_string(),
+        self.trace(now, "kill", Some(victim), || {
+            "permanent fail-stop crash".to_string()
         });
-        // Queued envelope deliveries die un-executed, but the senders still
-        // hold them unacknowledged: put each payload back in its buffer
-        // entry, so the next timeout redelivers it — and, once the death is
-        // declared, reroutes it. Replica updates are not restored: the
-        // replica they refresh died with the node. Locally generated work
-        // dies with the node too.
         let orphans = self.procs[v].drain();
         if let Some(t) = &mut self.transport {
             t.kill(victim);
-            for task in orphans {
-                if let (Work::Deliver(msg), Some((_, seq))) = (task.work, task.ack) {
-                    if !matches!(msg.payload, Payload::ReplicaUpdate { .. }) {
-                        t.restore(seq, msg.payload);
-                    }
-                }
-            }
         }
         // Threads homed at the dead processor die with it — except Moving
         // threads, whose entire state is in flight: a ThreadMove rehomes
-        // wherever it (re)lands.
+        // wherever it (re)lands. Detached activation groups parked at the
+        // victim are destroyed; their threads can never receive the
+        // short-circuited return.
         for t in 0..self.threads.len() {
+            let tid = ThreadId(t as u32);
             if self.threads[t].home == victim
                 && !matches!(
                     self.threads[t].status,
                     ThreadStatus::Moving | ThreadStatus::Done
                 )
             {
-                self.threads[t].status = ThreadStatus::Done;
-                self.failover.threads_lost += 1;
+                self.lose_thread(tid);
                 let stack = std::mem::take(&mut self.threads[t].stack);
                 self.failover.frames_lost += stack.len() as u64;
                 self.recycle_frame_vec(stack);
             }
-        }
-        // Detached activation groups parked at the victim are destroyed;
-        // their threads can never receive the short-circuited return.
-        let mut dead_groups: Vec<ThreadId> = self
-            .detached
-            .iter()
-            .filter(|(_, d)| d.at == victim)
-            .map(|(t, _)| *t)
-            .collect();
-        dead_groups.sort_unstable_by_key(|t| t.index());
-        for tid in dead_groups {
-            let d = self.detached.remove(&tid).expect("group collected above");
+            let Some(d) = self.threads[t].detached.take_if(|d| d.at == victim) else {
+                continue;
+            };
             let n = d.stack.len() as u64;
             self.recycle_frame_vec(d.stack);
             self.failover.frames_lost += n;
-            if self.threads[tid.index()].status != ThreadStatus::Done {
-                self.failover.threads_lost += 1;
-            }
-            self.threads[tid.index()].status = ThreadStatus::Done;
+            self.lose_thread(tid);
             self.record_runtime_error(
                 now,
                 RuntimeError::FrameReclaimed {
@@ -1417,6 +1376,45 @@ impl System {
                     frames: n,
                 },
             );
+        }
+        // Queued envelope deliveries die un-executed, but the senders still
+        // hold them unacknowledged: put each payload back in its buffer
+        // entry, so the next timeout redelivers it — and, once the death is
+        // declared, reroutes it. A payload its sender already retired is
+        // lost, with its frames and thread; this runs after the thread walk
+        // above, so a lost thread homed here still has its home stack
+        // counted. Replica updates are not restored: the replica they
+        // refresh died with the node. Locally generated work dies with the
+        // node too.
+        for task in orphans {
+            let (Work::Deliver(msg), Some((_, seq))) = (task.work, task.ack) else {
+                continue;
+            };
+            if matches!(msg.payload, Payload::ReplicaUpdate { .. }) {
+                continue;
+            }
+            let Some(Err(payload)) = self.transport.as_mut().map(|t| t.restore(seq, msg.payload))
+            else {
+                continue;
+            };
+            self.record_runtime_error(now, RuntimeError::RetiredDeliveryLost { seq, at: victim });
+            if let Payload::Migration { thread, frames, .. }
+            | Payload::ThreadMove { thread, frames, .. } = payload
+            {
+                self.failover.frames_lost += frames.len() as u64;
+                self.recycle_frame_vec(frames);
+                self.lose_thread(thread);
+            }
+        }
+    }
+
+    /// Terminate thread `tid` for a processor death, counting it lost
+    /// unless it had already finished.
+    fn lose_thread(&mut self, tid: ThreadId) {
+        let status = &mut self.threads[tid.index()].status;
+        if *status != ThreadStatus::Done {
+            *status = ThreadStatus::Done;
+            self.failover.threads_lost += 1;
         }
     }
 
@@ -1437,8 +1435,7 @@ impl System {
         if let Some(site) = self.threads[t].auto_site.take() {
             let remote = std::mem::take(&mut self.threads[t].auto_remote);
             self.policy.record_episode(site, remote);
-            self.charge(cat::POLICY_UPDATE, self.cost.policy_update);
-            self.cost.policy_update
+            self.charge(cat::POLICY_UPDATE, self.cost.policy_update)
         } else {
             Cycles::ZERO
         }
@@ -1481,15 +1478,11 @@ impl System {
         self.charge(cat::POLICY_DECIDE, self.cost.policy_decide);
         let d = self.policy.decide(site);
         if d.flipped {
-            self.tracer.emit_with(|| TraceEvent {
-                at: now,
-                source: "runtime",
-                kind: "policy-flip",
-                proc: Some(proc),
-                detail: format!(
+            self.trace(now, "policy-flip", Some(proc), || {
+                format!(
                     "site={site} mode={}",
                     if d.migrate { "migrate" } else { "rpc" }
-                ),
+                )
             });
         }
         d.migrate
@@ -1594,8 +1587,7 @@ impl System {
                     acc += c;
                 }
                 StepResult::Call(child) => {
-                    self.charge(cat::LOCAL_LINKAGE, self.cost.local_call);
-                    acc += self.cost.local_call;
+                    acc += self.charge(cat::LOCAL_LINKAGE, self.cost.local_call);
                     if child.is_operation() {
                         self.threads[t].op_started = Some(now + acc);
                     }
@@ -1641,8 +1633,7 @@ impl System {
                         self.threads[t].status = ThreadStatus::Done;
                         return acc;
                     };
-                    self.charge(cat::LOCAL_LINKAGE, self.cost.local_call);
-                    acc += self.cost.local_call;
+                    acc += self.charge(cat::LOCAL_LINKAGE, self.cost.local_call);
                     parent.on_result(&vals);
                     frame = parent;
                 }
@@ -1671,8 +1662,7 @@ impl System {
                         self.procs[proc.index()].enqueue(Work::Step(tid).into());
                         return acc;
                     }
-                    self.charge(cat::LOCALITY_CHECK, self.cost.locality_check);
-                    acc += self.cost.locality_check;
+                    acc += self.charge(cat::LOCALITY_CHECK, self.cost.locality_check);
                     let home = self.objects.home(inv.target);
                     let message_passing = self.cfg.scheme.access == DataAccess::MessagePassing;
                     let replica_served =
@@ -1789,7 +1779,7 @@ impl System {
                         at: proc,
                         reply_to,
                     };
-                    self.detached.insert(tid, parked);
+                    self.threads[t].detached = Some(parked);
                 }
             }
             return Payload::RpcRequest {
@@ -1841,8 +1831,7 @@ impl System {
         if home != proc {
             // The object moved away: forward the pull (forwarding check +
             // chase message).
-            self.charge(cat::FORWARDING_CHECK, self.cost.forwarding_check);
-            acc += self.cost.forwarding_check;
+            acc += self.charge(cat::FORWARDING_CHECK, self.cost.forwarding_check);
             let payload = Payload::ObjectPull {
                 thread,
                 reply_to,
@@ -1853,8 +1842,7 @@ impl System {
         }
         if self.objects.entry(target).behavior.is_none() {
             // In flight towards us: retry after a short delay.
-            self.charge(cat::SCHEDULER, self.cost.scheduler);
-            acc += self.cost.scheduler;
+            acc += self.charge(cat::SCHEDULER, self.cost.scheduler);
             queue.schedule_at(
                 now + acc + Cycles(200),
                 Event::Arrive(
@@ -1875,8 +1863,7 @@ impl System {
         // pulls chase it to its new location.
         let behavior = self.objects.take_behavior(target);
         self.objects.entry_mut(target).home = reply_to;
-        self.charge(cat::GOID_TRANSLATION, self.cost.goid_translation);
-        acc += self.cost.goid_translation;
+        acc += self.charge(cat::GOID_TRANSLATION, self.cost.goid_translation);
         let payload = Payload::ObjectMove {
             thread,
             target,
@@ -1925,8 +1912,7 @@ impl System {
                     // the tick fanned out: nothing left to probe.
                     return acc;
                 }
-                self.charge(cat::RECOVERY_HEARTBEAT, self.cost.heartbeat_probe);
-                let acc = acc + self.cost.heartbeat_probe;
+                let acc = acc + self.charge(cat::RECOVERY_HEARTBEAT, self.cost.heartbeat_probe);
                 self.failover.heartbeats_sent += 1;
                 acc + self.send_message(proc, to, Payload::Heartbeat, now + acc, queue)
             }
@@ -1938,8 +1924,7 @@ impl System {
                 } else {
                     cat::FAULT_STALL
                 };
-                self.charge(category, duration);
-                acc + duration
+                acc + self.charge(category, duration)
             }
         }
     }
@@ -1962,8 +1947,7 @@ impl System {
             } => {
                 // General-purpose stub dispatch: thread set-up/tear-down via
                 // the scheduler plus the second argument copy (§4.3).
-                self.charge(cat::RPC_DISPATCH, self.cost.rpc_dispatch);
-                let acc = acc + self.cost.rpc_dispatch;
+                let acc = acc + self.charge(cat::RPC_DISPATCH, self.cost.rpc_dispatch);
                 let (lat, results) = self.invoke_inline(proc, &invoke, now + acc, queue);
                 let acc = acc + lat;
                 let payload = Payload::RpcReply {
@@ -1973,9 +1957,8 @@ impl System {
                 acc + self.send_message(proc, reply_to, payload, now + acc, queue)
             }
             Payload::RpcReply { thread, results } => {
-                let parked_here = self.detached.get(&thread).is_some_and(|d| d.at == proc);
-                let Some(mut group) = parked_here.then(|| self.detached.remove(&thread)).flatten()
-                else {
+                let slot = &mut self.threads[thread.index()].detached;
+                let Some(mut group) = slot.take_if(|d| d.at == proc) else {
                     return self.resume_home(now, proc, thread, Some((results, false)), acc, queue);
                 };
                 let Some(mut frame) = group.stack.pop() else {
@@ -2035,9 +2018,8 @@ impl System {
                 // directory entry, so its state survives without a thread to
                 // resume.)
                 debug_assert_eq!(self.objects.home(target), proc, "object landed off-home");
-                self.charge(cat::GOID_TRANSLATION, self.cost.goid_translation);
+                let acc = acc + self.charge(cat::GOID_TRANSLATION, self.cost.goid_translation);
                 self.objects.put_behavior(target, behavior);
-                let acc = acc + self.cost.goid_translation;
                 self.resume_home(now, proc, thread, None, acc, queue)
             }
             Payload::ThreadMove {
@@ -2069,8 +2051,7 @@ impl System {
             // evidence; the probe itself carries no work.
             Payload::Heartbeat | Payload::ReplicaUpdate { .. } => acc,
             Payload::BackupDelta { .. } => {
-                self.charge(cat::REPLICATION_DELTA_APPLY, self.cost.delta_apply);
-                acc + self.cost.delta_apply
+                acc + self.charge(cat::REPLICATION_DELTA_APPLY, self.cost.delta_apply)
             }
         }
     }
@@ -2097,8 +2078,12 @@ impl System {
         acc
     }
 
-    /// Take envelope `seq` out of the retransmission buffer (see
-    /// [`Transport::retire`]).
+    /// The retransmission-buffer entry of envelope `seq`, if unretired.
+    fn in_flight(&self, seq: u64) -> Option<&InFlight> {
+        self.transport.as_ref()?.get(seq)
+    }
+
+    /// Take envelope `seq` out of the retransmission buffer ([`Transport::retire`]).
     fn retire(&mut self, seq: u64) -> Option<InFlight> {
         self.transport.as_mut().and_then(|t| t.retire(seq))
     }
@@ -2112,8 +2097,8 @@ impl System {
     }
 
     /// Put one copy of buffered envelope `env` (send attempt `attempt`) on
-    /// the wire at `launch_time`, booking an injected duplicate's wire
-    /// traffic and transit time.
+    /// the wire at `launch_time`, arm its retransmission timer, and book an
+    /// injected duplicate's wire traffic and transit time.
     fn launch_envelope(
         &mut self,
         env: Envelope,
@@ -2125,7 +2110,11 @@ impl System {
         let Some(t) = &mut self.transport else {
             return;
         };
-        if let Some(at) = t.launch_envelope(env, attempt, launch_time, latency, queue) {
+        let copy = || Event::ArriveSeq(env);
+        let arrive = launch_time + latency;
+        let dup = t.launch(launch_time, arrive, env.src, env.dst, copy, queue);
+        queue.schedule_at(launch_time + t.rto(attempt), Event::Timeout(env.seq));
+        if let Some(at) = dup {
             if let Ok(latency) = self.net.send_at(at, env.src, env.dst, env.wire.words) {
                 self.charge(cat::NETWORK_TRANSIT, latency);
             }
@@ -2143,13 +2132,12 @@ impl System {
         acc: Cycles,
         queue: &mut EventQueue<Event>,
     ) -> Cycles {
-        let Some(entry) = self.transport.as_ref().and_then(|t| t.in_flight.get(&seq)) else {
+        let Some(entry) = self.in_flight(seq) else {
             return acc; // acked between timer fire and task execution
         };
         let (env, attempt) = (entry.env, entry.attempt);
         debug_assert_eq!(env.src, proc, "retransmit task ran off the sender");
-        self.charge(cat::RECOVERY_TIMEOUT, self.cost.timeout_handler);
-        let acc = acc + self.cost.timeout_handler;
+        let acc = acc + self.charge(cat::RECOVERY_TIMEOUT, self.cost.timeout_handler);
         let failover = &self.cfg.failover;
         if failover.enabled && self.declared_dead[env.dst.index()] {
             // The destination was declared dead (by this processor or any
@@ -2179,17 +2167,13 @@ impl System {
         let Some(latency) = latency else {
             return acc; // route rejected (recorded); the timer re-arms below anyway
         };
-        self.tracer.emit_with(|| TraceEvent {
-            at: now + acc,
-            source: "runtime",
-            kind: "retry",
-            proc: Some(proc),
-            detail: format!(
+        self.trace(now + acc, "retry", Some(proc), || {
+            format!(
                 "seq={seq} attempt={} kind={:?} dst={}",
                 attempt + 1,
                 env.wire.kind,
                 env.dst.index()
-            ),
+            )
         });
         self.launch_envelope(env, attempt + 1, now + acc, latency, queue);
         acc
@@ -2219,8 +2203,7 @@ impl System {
         else {
             return acc; // tombstone — a copy was delivered after all
         };
-        self.charge(cat::RECOVERY_RECLAIM, self.cost.frame_reclaim);
-        let acc = acc + self.cost.frame_reclaim;
+        let acc = acc + self.charge(cat::RECOVERY_RECLAIM, self.cost.frame_reclaim);
         self.count_recovery(|r| r.fallbacks += 1);
         self.record_runtime_error(
             now + acc,
@@ -2249,7 +2232,7 @@ impl System {
                 at: proc,
                 reply_to,
             };
-            self.detached.insert(thread, parked);
+            self.threads[t].detached = Some(parked);
         }
         let payload = Payload::RpcRequest {
             thread,
@@ -2298,12 +2281,8 @@ impl Simulation for System {
                         .as_mut()
                         .is_some_and(|t| t.lost_at(dest, now));
                 if lost {
-                    self.tracer.emit_with(|| TraceEvent {
-                        at: now,
-                        source: "runtime",
-                        kind: "lost",
-                        proc: Some(dest),
-                        detail: format!("src={} (destination crashed)", msg.src.index()),
+                    self.trace(now, "lost", Some(dest), || {
+                        format!("src={} (destination crashed)", msg.src.index())
                     });
                     return;
                 }
@@ -2318,12 +2297,8 @@ impl Simulation for System {
                     Arrival::Lost => {
                         // Crash-restart swallowed this copy; the sender's
                         // timeout will retransmit it.
-                        self.tracer.emit_with(|| TraceEvent {
-                            at: now,
-                            source: "runtime",
-                            kind: "lost",
-                            proc: Some(env.dst),
-                            detail: format!("seq={} (destination crashed)", env.seq),
+                        self.trace(now, "lost", Some(env.dst), || {
+                            format!("seq={} (destination crashed)", env.seq)
                         });
                         return;
                     }
@@ -2341,12 +2316,7 @@ impl Simulation for System {
                 self.ensure_poll(env.dst, now, queue);
             }
             Event::Timeout(seq) => {
-                let Some(src) = self
-                    .transport
-                    .as_ref()
-                    .and_then(|t| t.in_flight.get(&seq))
-                    .map(|e| e.env.src)
-                else {
+                let Some(src) = self.in_flight(seq).map(|e| e.env.src) else {
                     return; // acked meanwhile — stale timer
                 };
                 if self.failed[src.index()] {
@@ -2375,21 +2345,13 @@ impl Simulation for System {
                 // Ring detector: every live processor probes its successor
                 // (skipping the declared dead, so a dead node's predecessor
                 // adopts the probe responsibility for the node after it).
-                let n = self.procs.len();
-                for p in 0..n {
-                    if self.failed[p] || self.declared_dead[p] {
+                for p in (0..self.procs.len() as u32).map(ProcId) {
+                    let to = self.successor(p);
+                    if self.failed[p.index()] || self.declared_dead[p.index()] || to == p {
                         continue;
                     }
-                    let mut to = (p + 1) % n;
-                    while to != p && self.declared_dead[to] {
-                        to = (to + 1) % n;
-                    }
-                    if to == p {
-                        continue;
-                    }
-                    let to = ProcId(to as u32);
-                    self.procs[p].enqueue(Work::HeartbeatProbe { to }.into());
-                    self.ensure_poll(ProcId(p as u32), now, queue);
+                    self.procs[p.index()].enqueue(Work::HeartbeatProbe { to }.into());
+                    self.ensure_poll(p, now, queue);
                 }
                 queue.schedule_at(
                     now + self.cfg.failover.heartbeat_interval,
@@ -3883,5 +3845,77 @@ mod tests {
             updates.iter().all(|seq| !unroutable.contains(seq)),
             "queued updates {updates:?} were restored: {unroutable:?}"
         );
+    }
+
+    #[test]
+    fn kill_counts_a_delivered_migration_its_sender_retired() {
+        // P1 stalls while two migrations to it wait in its queue: thread A
+        // (home P0) migrating out to P1, and thread B (home P1) whose group
+        // went to P0 and re-migrates back home. Each sender exhausts its
+        // retries and falls back, which retires the delivered envelope.
+        // Killing P1 then cannot restore the payloads: their frames and
+        // threads are lost, B's home stack with them, and each loss is
+        // recorded.
+        let mut cfg = MachineConfig::new(2, Scheme::computation_migration());
+        cfg.faults = Some(FaultPlan::disabled());
+        let mut runner = Runner::new(cfg);
+        let mut cell = |home| {
+            let cell = Box::new(Cell {
+                value: 0,
+                compute: 100,
+            });
+            runner.system.create_object(cell, ProcId(home), false)
+        };
+        let (on0, on1) = (cell(0), cell(1));
+        let driver = |targets| TestDriver {
+            targets,
+            annotation: Annotation::Migrate,
+            repeats: 1,
+            think: Cycles::ZERO,
+            ops_remaining: 1,
+            thinking: false,
+        };
+        let a = runner.spawn(ProcId(0), Box::new(driver(vec![on1])));
+        let b = runner.spawn(ProcId(1), Box::new(driver(vec![on0, on1])));
+        let stall = Event::Disrupt {
+            proc: ProcId(1),
+            duration: Cycles(2_000_000),
+            crash: false,
+        };
+        runner.engine.queue_mut().schedule_at(Cycles(1), stall);
+        let at = Cycles(1_000_000);
+        runner.run_until(at);
+        let tasks = runner.system.procs[1].drain();
+        let mut waiting: Vec<(ThreadId, u64)> = tasks
+            .iter()
+            .filter_map(|task| match (&task.work, task.ack) {
+                (Work::Deliver(msg), Some((_, seq))) => match msg.payload {
+                    Payload::Migration { thread, .. } => Some((thread, seq)),
+                    _ => None,
+                },
+                _ => None,
+            })
+            .collect();
+        waiting.sort_unstable_by_key(|(t, _)| t.index());
+        let threads: Vec<ThreadId> = waiting.iter().map(|w| w.0).collect();
+        assert_eq!(threads, [a, b], "both migrations wait in P1's queue");
+        for task in tasks {
+            runner.system.procs[1].enqueue(task);
+        }
+        let transport = runner.system.transport.as_ref().unwrap();
+        assert_eq!(transport.stats.retries, 6, "both retry budgets ran out");
+        for &(_, seq) in &waiting {
+            assert!(transport.get(seq).is_none(), "the fallback retired #{seq}");
+        }
+        runner.system.kill_processor(at, ProcId(1));
+        let f = runner.system.failover_stats();
+        // A's migrating frame; B's migrating frame and its home driver.
+        assert_eq!((f.frames_lost, f.threads_lost), (3, 2), "{f:?}");
+        for (tid, seq) in waiting {
+            let error = RuntimeError::RetiredDeliveryLost { seq, at: ProcId(1) };
+            assert!(runner.system.runtime_errors().contains(&error));
+            let status = runner.system.threads[tid.index()].status;
+            assert_eq!(status, ThreadStatus::Done);
+        }
     }
 }
